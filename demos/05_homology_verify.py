@@ -2,9 +2,11 @@
 
 The complement is clipped to a rational box and rasterized: every grid cell
 whose closed cell misses all lines, decided exactly, enters a cubical
-complex.  GF(2) boundary-matrix ranks then measure the Betti numbers, with
-no input from the handle-count formula.  A coarseness guard rejects
-resolutions that cannot separate the arrangement's features.
+complex, stored on the doubled grid where face incidence is 6-connectivity.
+Component labelling of the complex gives b_0, labelling of its complement
+gives b_{n-1} by Alexander duality, and the Euler characteristic gives the
+rest, with no input from the handle-count formula.  A coarseness guard
+rejects resolutions that cannot separate the arrangement's features.
 """
 
 import time

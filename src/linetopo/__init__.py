@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateLine,
     InvalidProfile,
+    InvariantViolation,
     LinetopoError,
     NonGenericDirection,
     ParseError,
@@ -75,6 +76,7 @@ __all__ = [
     "IntersectionPoset",
     "InvalidProfile",
     "InvariantReport",
+    "InvariantViolation",
     "Line",
     "LinetopoError",
     "MultiplePoint",

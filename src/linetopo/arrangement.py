@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, DuplicateLine
+from .errors import DimensionMismatch, DuplicateLine, InvariantViolation
 from .geometry import COINCIDENT, Line, Point, canonicalize_line, intersect_lines
 
 
@@ -95,7 +95,8 @@ def multiple_points(a: Arrangement) -> list[MultiplePoint]:
             x = intersect_lines(a.lines[i], a.lines[j])
             if x is None:
                 continue
-            assert x is not COINCIDENT  # arrangement lines are pairwise distinct
+            if x is COINCIDENT:
+                raise InvariantViolation(f"arrangement lines {i} and {j} coincide")
             clusters.setdefault(x, set()).update((i, j))
     return [
         MultiplePoint(location=loc, incident=tuple(sorted(clusters[loc])))

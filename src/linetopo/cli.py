@@ -2,7 +2,8 @@
 
 Every subcommand writes one JSON document to stdout and diagnostics to
 stderr.  Exit codes: 0 success (verification matched), 1 verification
-mismatch, 2 input error (with a machine-readable error object on stdout).
+mismatch, 2 input error or failed internal invariant (with a machine-readable
+error object on stdout).
 """
 
 from __future__ import annotations

@@ -1,33 +1,48 @@
 """Rasterized box-clipped complements and their homology over GF(2).
 
-A rational bounding cube around the arrangement is split into an m^n grid;
-the complex keeps every grid cell, of every dimension, whose closed cell
-meets no line, decided exactly with rational slab clipping.  In particular a
-grid cube is free iff its closed cube misses all lines, and the line-free
-faces of stabbed cubes are kept as well: a line nicking only a corner of a
-cube removes the cube but not its far faces, and dropping those faces would
-leave hollow shells that inflate the measured Betti numbers.  Chords of a
-convex box are unknotted and unlinked, so the clipped complement shares the
-Betti data of the full complement (a tested hypothesis; every acceptance
-fixture exercises it).
+A rational bounding cube around the arrangement is split into an m^n grid
+whose cells, of every dimension, live in one boolean array: the doubled grid
+of shape (2m+1)^n, where the cell with anchor corner a and extent mask mu
+sits at index 2a + mu.  Odd coordinates mark the axes along which a cell has
+unit extent, so a cell's dimension is its number of odd coordinates.
 
-Betti numbers come from ranks of the GF(2) boundary matrices.  The complex
-is first shrunk by homology-preserving removals (elementary coreduction
-pairs plus one lone vertex per connected component), which leaves a small
-core; the boundary matrices of the core are then rank-reduced with packed
-bitset rows.  An Euler-characteristic identity between the original cell
-counts and the computed Betti vector is asserted on every run.
+The complex keeps every cell whose closed cell meets no line, decided
+exactly with rational slab clipping.  In particular a grid cube is free iff
+its closed cube misses all lines, and the line-free faces of stabbed cubes
+are kept as well: a line nicking only a corner of a cube removes the cube
+but not its far faces, and dropping those faces would leave hollow shells
+that inflate the measured Betti numbers.  Chords of a convex box are
+unknotted and unlinked, so the clipped complement shares the Betti data of
+the full complement (a tested hypothesis; every acceptance fixture
+exercises it).
+
+The facets of a cell are its neighbours p +- e_a along its odd axes, so face
+incidence is exactly 6-connectivity of the doubled grid and components come
+from component labelling.  For n <= 3 no boundary-matrix rank is needed:
+
+- b_0 is the number of components of the complex;
+- b_{n-1} is the number of components of the complement in the padded
+  grid, minus one (Alexander duality, Hatcher, Algebraic Topology 3.3);
+- b_n is 0, since the complex is a proper compact subset of R^n;
+- for n = 3, b_1 follows from the Euler characteristic, counted per cell
+  dimension.
+
+For n = 2 the identity b_0 - b_1 = chi is independent of both labellings
+and is checked on every run.  The 4-dimensional grid (behind ``allow_dim4``)
+takes full GF(2) boundary-matrix ranks instead, the same computation the
+tests use as the oracle for the labelling path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .arrangement import Arrangement, MultiplePoint, multiple_points
-from .errors import ResolutionTooCoarse, WrongDimension
+from .errors import InvariantViolation, ResolutionTooCoarse, WrongDimension
 from .geometry import Line, Point, dot, line_box_params, sub
 
 BettiVector = tuple[int, ...]
@@ -37,16 +52,31 @@ BettiVector = tuple[int, ...]
 class CubicalComplex:
     """Line-free grid cells of a rasterized complement, closed under faces.
 
-    ``cells[k]`` is a sorted int64 array of packed cell codes: the low n bits
-    flag which axes have unit extent, the rest encode the anchor corner in
-    base m+1 digits.  ``cells[n]`` are exactly the free cubes.
+    ``grid`` is the doubled grid, of shape (2m+1)^n: ``grid[2a + mu]`` is
+    true iff the cell with anchor corner a and extent mask mu belongs to the
+    complex.
     """
 
     dimension: int
     resolution: int
     box_lo: Point
     cube_side: Fraction
-    cells: tuple[np.ndarray, ...]
+    grid: np.ndarray
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, ...]:
+        """Sorted flat indices into ``grid`` of the cells, one array per
+        dimension; ``cells[n]`` are exactly the free cubes."""
+        odd = (np.arange(2 * self.resolution + 1) & 1).astype(np.int8)
+        n = self.dimension
+        dims = sum(odd.reshape((-1,) + (1,) * (n - 1 - ax)) for ax in range(n))
+        return tuple(np.flatnonzero(self.grid & (dims == k)) for k in range(n + 1))
+
+
+def _slab(mask: int, n: int) -> tuple[slice, ...]:
+    """Doubled-grid slots of the cells with extent mask ``mask``: the m odd
+    indices on extent axes, the m+1 even (plane) indices on the others."""
+    return tuple(slice((mask >> ax) & 1, None, 2) for ax in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +204,9 @@ def _plane_range(x1: Fraction, x2: Fraction, lo: Fraction, side: Fraction, m: in
     return (i_lo, i_hi)
 
 
-def _stab_arrays(n: int, m: int) -> list[np.ndarray]:
-    """One boolean array per extent mask; axes with extent have m slots,
-    degenerate axes have m+1 plane slots."""
-    return [
-        np.zeros(
-            tuple(m if (mask >> ax) & 1 else m + 1 for ax in range(n)), dtype=bool
-        )
-        for mask in range(1 << n)
-    ]
-
-
-def _mark_line(stabbed: list[np.ndarray], line: Line, box_lo, side: Fraction, m: int):
+def _mark_line(stabbed: np.ndarray, line: Line, box_lo, side: Fraction, m: int):
     """Mark every grid cell, of every dimension, whose closed cell the line
-    meets, exactly.
+    meets, exactly, in the doubled grid ``stabbed``.
 
     For each extent mask the slab walk pins all axes but one to positions
     compatible with the running parameter interval (cube index ranges for
@@ -206,7 +225,8 @@ def _mark_line(stabbed: list[np.ndarray], line: Line, box_lo, side: Fraction, m:
     def x_at(axis, t):
         return line.base[axis] + t * line.direction[axis]
 
-    for mask, arr in enumerate(stabbed):
+    for mask in range(1 << n):
+        arr = stabbed[_slab(mask, n)]
         fixed_pairs = []
         reachable = True
         for a in range(n):
@@ -265,74 +285,42 @@ def _mark_line(stabbed: list[np.ndarray], line: Line, box_lo, side: Fraction, m:
         walk(0, span[0], span[1], [])
 
 
-def _cells_from_stabbed(stabbed: list[np.ndarray], n: int, m: int) -> tuple[np.ndarray, ...]:
-    """Collect codes of all unstabbed cells, bucketed by dimension."""
-    strides = [(m + 1) ** a for a in range(n)]
-    per_dim: list[list[np.ndarray]] = [[] for _ in range(n + 1)]
-    for mask, arr in enumerate(stabbed):
-        pos = np.nonzero(~arr)
-        code = np.zeros(pos[0].shape, dtype=np.int64)
-        for ax in range(n):
-            code += pos[ax].astype(np.int64) * strides[ax]
-        per_dim[bin(mask).count("1")].append((code << n) | mask)
-    return tuple(np.sort(np.concatenate(parts)) for parts in per_dim)
+def _components(grid: np.ndarray):
+    """Labels and count of the components of a doubled grid.  The default
+    structuring element joins slots one step apart along one axis, which on
+    the doubled grid is exactly face incidence."""
+    from scipy import ndimage
+
+    return ndimage.label(grid)
 
 
-def _certified_cells(cells, n: int, m: int) -> tuple[np.ndarray, ...]:
+def _certified(free: np.ndarray) -> np.ndarray:
     """Drop components of the complex that contain no whole free cube.
 
     A line-free sliver thinner than one cube everywhere (isolated vertices or
     edges deep inside a stabbed tube) belongs to some neighbouring region of
     the true complement, but the grid cannot certify which one; keeping it
-    would add spurious components.  Components owning at least one free cube
-    are kept in full.
+    would add spurious components.  Components owning at least one free
+    cube, an all-odd slot, are kept in full.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    sizes = [len(c) for c in cells]
-    if sizes[n] == 0:
-        return tuple(np.empty(0, dtype=np.int64) for _ in range(n + 1))
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    rows, cols = [], []
-    for k in range(1, n + 1):
-        fmat = _facet_matrix(cells[k - 1], cells[k], k, n, m)
-        rows.append(np.repeat(np.arange(sizes[k], dtype=np.int64) + offs[k], 2 * k))
-        cols.append(fmat.ravel() + offs[k - 1])
-    graph = coo_matrix(
-        (np.ones(sum(len(r) for r in rows), dtype=np.int8),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(offs[-1], offs[-1]),
-    )
-    _, labels = connected_components(graph, directed=False)
-    cube_labels = np.unique(labels[offs[n]:offs[n + 1]])
-    keep = np.isin(labels, cube_labels)
-    return tuple(cells[k][keep[offs[k]:offs[k + 1]]] for k in range(n + 1))
+    labels, count = _components(free)
+    owned = np.zeros(count + 1, dtype=bool)
+    owned[labels[_slab((1 << free.ndim) - 1, free.ndim)]] = True
+    owned[0] = False
+    return owned[labels]
 
 
-def _closure_cells(occ: np.ndarray, n: int, m: int) -> tuple[np.ndarray, ...]:
-    """Closure of a set of top cubes: the cubes plus, level by level, their
-    faces.  Builds handcrafted complexes in tests; rasterization instead
-    keeps every line-free cell via _cells_from_stabbed."""
-    strides = [(m + 1) ** a for a in range(n)]
-    full = (1 << n) - 1
-    pos = np.nonzero(occ)
-    poscode = np.zeros(pos[0].shape, dtype=np.int64)
-    for a in range(n):
-        poscode += pos[a].astype(np.int64) * strides[a]
-    cells: list[np.ndarray] = [None] * (n + 1)
-    cells[n] = np.sort((poscode << n) | full)
-    for k in range(n, 0, -1):
-        ck = cells[k]
-        mask = ck & full
-        kids = []
-        for a in range(n):
-            sub_ = ck[((mask >> a) & 1).astype(bool)]
-            low = sub_ - (1 << a)
-            kids.append(low)
-            kids.append(low + (strides[a] << n))
-        cells[k - 1] = np.unique(np.concatenate(kids))
-    return tuple(cells)
+def _closure_cells(occ: np.ndarray) -> np.ndarray:
+    """Doubled grid of the closure of a set of top cubes (``occ`` has shape
+    m^n): every cube together with all its faces, which are the slots within
+    one step of it in every coordinate.  Builds handcrafted complexes in
+    tests; rasterization instead keeps every line-free cell."""
+    from scipy import ndimage
+
+    n = occ.ndim
+    grid = np.zeros(tuple(2 * s + 1 for s in occ.shape), dtype=bool)
+    grid[_slab((1 << n) - 1, n)] = occ
+    return ndimage.binary_dilation(grid, np.ones((3,) * n, dtype=bool))
 
 
 def rasterize_complement(a: Arrangement, m: int, allow_dim4: bool = False) -> CubicalComplex:
@@ -358,16 +346,15 @@ def rasterize_complement(a: Arrangement, m: int, allow_dim4: bool = False) -> Cu
     box_lo, total = _bounding_cube(a)
     cube_side = total / m
     _coarseness_guard(a, multiple_points(a), cube_side, total)
-    stabbed = _stab_arrays(n, m)
+    stabbed = np.zeros((2 * m + 1,) * n, dtype=bool)
     for line in a.lines:
         _mark_line(stabbed, line, box_lo, cube_side, m)
-    cells = _certified_cells(_cells_from_stabbed(stabbed, n, m), n, m)
     return CubicalComplex(
         dimension=n,
         resolution=m,
         box_lo=box_lo,
         cube_side=cube_side,
-        cells=cells,
+        grid=_certified(~stabbed),
     )
 
 
@@ -392,122 +379,59 @@ def gf2_rank(columns) -> int:
     return rank
 
 
-def _facet_matrix(cells_km1: np.ndarray, cells_k: np.ndarray, k: int, n: int, m: int):
-    """(N_k, 2k) array of indices into cells_km1: each k-cell's facets."""
-    strides = [(m + 1) ** a for a in range(n)]
-    full = (1 << n) - 1
-    out = np.empty((len(cells_k), 2 * k), dtype=np.int64)
-    mask = cells_k & full
-    for mval in np.unique(mask):
-        rows = np.nonzero(mask == mval)[0]
-        sub_ = cells_k[rows]
-        col = 0
-        for a in range(n):
-            if not (int(mval) >> a) & 1:
-                continue
-            for code in (sub_ - (1 << a), sub_ - (1 << a) + (strides[a] << n)):
-                idx = np.searchsorted(cells_km1, code)
-                assert np.array_equal(cells_km1[idx], code), "complex not face-closed"
-                out[rows, col] = idx
-                col += 1
-    return out
-
-
-def _coreduce(cells, facet_mats, n: int):
-    """Shrink the complex by homology-preserving removals.
-
-    Repeatedly removes elementary pairs (a k-cell together with its unique
-    still-present facet), which leave all homology groups unchanged, and when
-    no pair exists removes one lone vertex, which decrements b_0 by exactly
-    one and leaves higher homology unchanged.  Returns the number of lone
-    vertices removed (= b_0) and the alive-mask of the remaining core.
-    """
-    alive = [np.ones(len(cells[k]), dtype=bool) for k in range(n + 1)]
-    b0 = 0
-    while True:
-        changed = True
-        while changed:
-            changed = False
-            for k in range(1, n + 1):
-                rows = np.nonzero(alive[k])[0]
-                if not len(rows):
-                    continue
-                fa = alive[k - 1][facet_mats[k][rows]]
-                cand = fa.sum(axis=1) == 1
-                if not cand.any():
-                    continue
-                crows = rows[cand]
-                which = np.argmax(fa[cand], axis=1)
-                targets = facet_mats[k][crows, which]
-                uniq, first = np.unique(targets, return_index=True)
-                alive[k][crows[first]] = False
-                alive[k - 1][uniq] = False
-                changed = True
-        verts = np.nonzero(alive[0])[0]
-        if len(verts):
-            alive[0][verts[0]] = False
-            b0 += 1
-        else:
-            break
-    return b0, alive
-
-
 def betti_numbers(c: CubicalComplex) -> BettiVector:
     """GF(2) Betti numbers (b_0, ..., b_n) of the complex.
 
-    b_k equals the number of k-cells minus the ranks of the k-th and (k+1)-th
-    boundary matrices; the ranks are taken on the reduced core, whose
-    homology agrees with the full complex in every degree.
+    For n <= 3 they come from two component labellings and the Euler
+    characteristic (see the module docstring); for n = 4 from full
+    boundary-matrix ranks.
+
+    Raises:
+        InvariantViolation: for n = 2, b_0 - b_1 differs from the Euler
+            characteristic, so the complex is not a face-closed complex.
     """
     n = c.dimension
-    m = c.resolution
-    facet_mats = [None] + [
-        _facet_matrix(c.cells[k - 1], c.cells[k], k, n, m) for k in range(1, n + 1)
-    ]
-    b0, alive = _coreduce(c.cells, facet_mats, n)
-
-    ranks = [0] * (n + 2)
-    for k in range(1, n + 1):
-        rows_alive = alive[k - 1]
-        local = np.cumsum(rows_alive) - 1  # local index of each alive (k-1)-cell
-        cols = []
-        for row in np.nonzero(alive[k])[0]:
-            bits = 0
-            for f in facet_mats[k][row]:
-                if rows_alive[f]:
-                    bits |= 1 << int(local[f])
-            cols.append(bits)
-        ranks[k] = gf2_rank(cols)
-
-    betti = [0] * (n + 1)
-    betti[0] = b0
-    for k in range(1, n + 1):
-        betti[k] = int(alive[k].sum()) - ranks[k] - ranks[k + 1]
-
-    chi_cells = sum((-1) ** k * len(c.cells[k]) for k in range(n + 1))
-    chi_betti = sum((-1) ** k * betti[k] for k in range(n + 1))
-    assert chi_cells == chi_betti, "Euler characteristic mismatch after reduction"
-    return tuple(betti)
+    if n > 3:
+        return _betti_direct(c)
+    _, b0 = _components(c.grid)
+    _, outside = _components(np.pad(~c.grid, 1, constant_values=True))
+    top = outside - 1  # b_{n-1}, by Alexander duality
+    chi = sum(
+        (-1) ** bin(mask).count("1") * int(np.count_nonzero(c.grid[_slab(mask, n)]))
+        for mask in range(1 << n)
+    )
+    if n == 2:
+        if b0 - top != chi:
+            raise InvariantViolation(
+                f"Euler characteristic {chi} differs from b0 - b1 = {b0} - {top}"
+            )
+        return (b0, top, 0)
+    return (b0, b0 + top - chi, top, 0)
 
 
 def _betti_direct(c: CubicalComplex) -> BettiVector:
-    """Betti numbers from full boundary-matrix ranks, no reduction.
+    """Betti numbers from full boundary-matrix ranks, no shortcut.
 
-    Quadratic in the cell count; used to cross-check the reduced path on
-    small complexes.
+    The facets of a k-cell at flat index p are p +- stride_a along its odd
+    axes a.  Quadratic in the cell count: the n = 4 path, and the oracle the
+    tests hold the labelling path to on small complexes.
+
+    Raises:
+        InvariantViolation: some facet of a cell is missing from the complex.
     """
     n = c.dimension
-    m = c.resolution
+    cells = c.cells
+    flat = c.grid.ravel()
+    strides = c.grid.shape[0] ** np.arange(n - 1, -1, -1)  # C order, in slots
     ranks = [0] * (n + 2)
     for k in range(1, n + 1):
-        fmat = _facet_matrix(c.cells[k - 1], c.cells[k], k, n, m)
-        cols = []
-        for row in range(len(c.cells[k])):
-            bits = 0
-            for f in fmat[row]:
-                bits |= 1 << int(f)
-            cols.append(bits)
-        ranks[k] = gf2_rank(cols)
+        odd = np.stack(np.unravel_index(cells[k], c.grid.shape), axis=1) & 1
+        step = strides[np.nonzero(odd)[1].reshape(len(cells[k]), k)]
+        facets = np.concatenate([cells[k][:, None] - step, cells[k][:, None] + step], axis=1)
+        if not flat[facets].all():
+            raise InvariantViolation(f"a {k}-cell has a facet outside the complex")
+        rows = np.searchsorted(cells[k - 1], facets)
+        ranks[k] = gf2_rank(sum(1 << int(r) for r in row) for row in rows)
     return tuple(
-        len(c.cells[k]) - ranks[k] - ranks[k + 1] for k in range(n + 1)
+        len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(n + 1)
     )

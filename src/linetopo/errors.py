@@ -50,3 +50,8 @@ class ParseError(LinetopoError):
     def __init__(self, message: str, path: str = ""):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+class InvariantViolation(LinetopoError):
+    """An internal consistency check failed: a defect in this package, not in
+    the input."""

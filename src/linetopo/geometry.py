@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionMismatch, ZeroDirection
+from .errors import DimensionMismatch, InvariantViolation, ZeroDirection
 
 # A point is a tuple of Fractions, one entry per ambient coordinate.
 Point = tuple[Fraction, ...]
@@ -140,7 +140,8 @@ def intersect_lines(a: Line, b: Line):
                 break
         if pivot:
             break
-    assert pivot is not None  # non-parallel primitive directions have a nonzero minor
+    if pivot is None:
+        raise InvariantViolation("non-parallel directions with no nonzero 2x2 minor")
     i, j, det = pivot
     t = (rhs[i] * Fraction(-bd[j]) - Fraction(-bd[i]) * rhs[j]) / det
     s = (Fraction(ad[i]) * rhs[j] - rhs[i] * Fraction(ad[j])) / det

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement, multiple_points
-from .errors import WrongDimension
+from .errors import InvariantViolation, WrongDimension
 from .geometry import line_box_params, point_on_line
 
 
@@ -68,7 +68,8 @@ def _perimeter_key(box, p):
         return (1, y - y0)
     if y == y1:
         return (2, x1 - x)
-    assert x == x0, f"point {p} is not on the box boundary"
+    if x != x0:
+        raise InvariantViolation(f"point {p} is not on the box boundary")
     return (3, y1 - y)
 
 
@@ -86,9 +87,8 @@ def clip_subdivision(a: Arrangement) -> ClippedSubdivision:
     segments_inside = 0
     for li, line in enumerate(a.lines):
         params = line_box_params(line, lo, hi)
-        assert params is not None and params[0] < params[1], (
-            f"line {li} does not cross the clipping box"
-        )
+        if params is None or params[0] >= params[1]:
+            raise InvariantViolation(f"line {li} does not cross the clipping box")
         t_enter, t_exit = params
         crossings.add(line.point_at(t_enter))
         crossings.add(line.point_at(t_exit))
@@ -96,13 +96,16 @@ def clip_subdivision(a: Arrangement) -> ClippedSubdivision:
             [t_enter, t_exit]
             + [line.param_of(mp.location) for mp in mps if li in mp.incident]
         )
-        assert len(set(cuts)) == len(cuts), "multiple point on the box boundary"
+        if len(set(cuts)) != len(cuts):
+            raise InvariantViolation("multiple point on the box boundary")
         segments_inside += len(cuts) - 1
 
     corners = {(x0, y0), (x1, y0), (x1, y1), (x0, y1)}
-    assert not (crossings & corners), "line crossing at a box corner"
+    if crossings & corners:
+        raise InvariantViolation("line crossing at a box corner")
     interior = {mp.location for mp in mps}
-    assert len(crossings) == 2 * a.d, "two lines cross the boundary at one point"
+    if len(crossings) != 2 * a.d:
+        raise InvariantViolation("two lines cross the boundary at one point")
 
     boundary_vertices = sorted(crossings | corners, key=lambda p: _perimeter_key(box, p))
     v = len(boundary_vertices) + len(interior)

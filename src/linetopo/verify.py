@@ -24,7 +24,7 @@ def verify_arrangement(a: Arrangement, m: int) -> VerificationReport:
 
     The two sides share no code beyond exact line intersection: the
     prediction comes from the handle-count formula, the measurement from
-    GF(2) boundary-matrix ranks on the grid.
+    component labelling and Alexander duality on the grid.
     """
     if a.dimension not in (2, 3):
         raise WrongDimension(

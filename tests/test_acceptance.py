@@ -33,6 +33,7 @@ from linetopo import (
     recover_multiplicities,
     serialize_arrangement,
     sweep_events,
+    verify_arrangement,
 )
 from linetopo.cli import run_cli
 from linetopo.io_json import handle_trace_to_json
@@ -177,6 +178,16 @@ def test_criterion_5_homology_oracle_n3(tmp_path):
             assert list(coarse) == measured_at[name], name
             stable += 1
         assert stable == len(FIXTURES_N3)  # every fixture resolves at 24
+
+
+def test_homology_oracle_cost_at_grid_64():
+    # cost regression: grid 64 has ~2.1M cells per fixture
+    t0 = time.perf_counter()
+    for name, (a, g_expected) in FIXTURES_N3.items():
+        rep = verify_arrangement(a, 64)
+        assert rep.match and rep.measured == (1, g_expected, 0, 0), name
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 20.0, f"five fixtures at grid 64 took {elapsed:.1f}s, budget 20s"
 
 
 def test_criterion_6_homology_oracle_n2():

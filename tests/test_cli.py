@@ -1,6 +1,9 @@
 import json
+from fractions import Fraction
 
-from linetopo import build_arrangement, serialize_arrangement
+import numpy as np
+
+from linetopo import CubicalComplex, build_arrangement, serialize_arrangement
 from linetopo.cli import run_cli
 
 PENCIL3 = serialize_arrangement(
@@ -122,3 +125,17 @@ def test_analyze_with_grid_includes_verification(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["verification"]["match"] is True
+
+
+def test_invariant_violation_is_a_json_error(capsys, tmp_path, monkeypatch):
+    # a planar complex holding an edge without its end vertices breaks the
+    # Euler identity b0 - b1 = chi that betti_numbers checks
+    grid = np.zeros((5, 5), dtype=bool)
+    grid[1, 2] = True
+    broken = CubicalComplex(2, 2, (Fraction(0), Fraction(0)), Fraction(1), grid)
+    monkeypatch.setattr("linetopo.verify.rasterize_complement", lambda a, m: broken)
+    planar = serialize_arrangement(build_arrangement(2, [((0, 0), (1, 0))]))
+    code, out, err = run(capsys, ["verify", "--grid", "2"], planar, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvariantViolation"
+    assert err.strip()

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linetopo import (
+    InvariantViolation,
     ResolutionTooCoarse,
     WrongDimension,
     betti_numbers,
@@ -19,6 +21,7 @@ from linetopo.cubical import (
     _betti_direct,
     _closure_cells,
     _index_range,
+    _slab,
 )
 from linetopo.geometry import line_box_params
 from conftest import seeded_corpus
@@ -52,15 +55,61 @@ def test_no_lines_leaves_all_cubes_free():
     assert betti_numbers(c) == (1, 0, 0, 0)
 
 
+def _complex(grid: np.ndarray) -> CubicalComplex:
+    """A handcrafted complex on a unit grid, from its doubled grid."""
+    n = grid.ndim
+    return CubicalComplex(
+        dimension=n, resolution=(grid.shape[0] - 1) // 2, box_lo=(Fraction(0),) * n,
+        cube_side=Fraction(1), grid=grid,
+    )
+
+
 def test_single_free_cube_is_contractible():
     occ = np.zeros((2, 2), dtype=bool)
     occ[0, 0] = True
-    c = CubicalComplex(
-        dimension=2, resolution=2, box_lo=(Fraction(0), Fraction(0)),
-        cube_side=Fraction(1), cells=_closure_cells(occ, 2, 2),
-    )
+    c = _complex(_closure_cells(occ))
+    # one square, its four edges and four vertices, in the lower-left corner
+    assert [len(cells) for cells in c.cells] == [4, 4, 1]
+    assert c.grid[:3, :3].all() and c.grid.sum() == 9
     assert betti_numbers(c) == (1, 0, 0)
     assert _betti_direct(c) == (1, 0, 0)
+
+
+def test_annulus_and_hollow_shell_reach_the_top_dual_degree():
+    # no line complement has b_{n-1} > 0; these exercise Alexander duality
+    ring = np.ones((3, 3), dtype=bool)
+    ring[1, 1] = False
+    annulus = _complex(_closure_cells(ring))
+    assert betti_numbers(annulus) == _betti_direct(annulus) == (1, 1, 0)
+    shell = np.ones((3, 3, 3), dtype=bool)
+    shell[1, 1, 1] = False
+    hollow = _complex(_closure_cells(shell))
+    assert betti_numbers(hollow) == _betti_direct(hollow) == (1, 0, 1, 0)
+
+
+@st.composite
+def _top_cube_sets(draw):
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 6 if n == 2 else 4))
+    bits = draw(st.lists(st.booleans(), min_size=m**n, max_size=m**n))
+    return np.array(bits, dtype=bool).reshape((m,) * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_top_cube_sets())
+def test_labelling_matches_direct_ranks_on_random_closures(occ):
+    c = _complex(_closure_cells(occ))
+    assert betti_numbers(c) == _betti_direct(c)
+
+
+def test_complex_missing_a_face_raises_invariant_violation():
+    grid = np.zeros((5, 5), dtype=bool)
+    grid[1, 2] = True  # an edge without its two end vertices
+    c = _complex(grid)
+    with pytest.raises(InvariantViolation):
+        betti_numbers(c)  # b0 - b1 = 1 but chi = -1
+    with pytest.raises(InvariantViolation):
+        _betti_direct(c)
 
 
 def test_chord_separates_the_square():
@@ -82,7 +131,7 @@ def test_marking_matches_bruteforce_slab_test_in_every_dimension():
     # line lying exactly in a grid plane, and a skew rational line
     import itertools
 
-    from linetopo.cubical import _mark_line, _stab_arrays
+    from linetopo.cubical import _mark_line
 
     lines = build_arrangement(
         3,
@@ -95,11 +144,11 @@ def test_marking_matches_bruteforce_slab_test_in_every_dimension():
     m = 6
     box_lo = (Fraction(-1), Fraction(-1), Fraction(-1))
     side = Fraction(1)
-    stabbed = _stab_arrays(3, m)
+    stabbed = np.zeros((2 * m + 1,) * 3, dtype=bool)
     for line in lines:
         _mark_line(stabbed, line, box_lo, side, m)
     for mask in range(8):
-        arr = stabbed[mask]
+        arr = stabbed[_slab(mask, 3)]
         for pos in itertools.product(*(range(s) for s in arr.shape)):
             lo = tuple(box_lo[ax] + pos[ax] * side for ax in range(3))
             hi = tuple(lo[ax] + (side if (mask >> ax) & 1 else 0) for ax in range(3))
