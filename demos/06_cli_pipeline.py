@@ -6,6 +6,7 @@ content digest, and produces byte-identical output for identical input.
 
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -63,3 +64,4 @@ proc = subprocess.run(
     capture_output=True, text=True,
 )
 print("console process exit:", proc.returncode)
+shutil.rmtree(workdir)

@@ -24,6 +24,7 @@ from .cubical import CubicalComplex, betti_numbers, gf2_rank, rasterize_compleme
 from .errors import (
     DimensionMismatch,
     DuplicateLine,
+    GridTooLarge,
     InvalidProfile,
     InvariantViolation,
     LinetopoError,
@@ -72,6 +73,7 @@ __all__ = [
     "CubicalComplex",
     "DimensionMismatch",
     "DuplicateLine",
+    "GridTooLarge",
     "HandleTrace",
     "IntersectionPoset",
     "InvalidProfile",

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .arrangement import predict_topology
-from .errors import LinetopoError
+from .errors import LinetopoError, ParseError
 from .generate import generate_random
 from .io_json import (
     arrangement_to_json,
@@ -33,10 +33,13 @@ from .verify import verify_arrangement
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from exc
 
 
 def _emit(doc: dict) -> None:

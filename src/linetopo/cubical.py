@@ -2,35 +2,37 @@
 
 A rational bounding cube around the arrangement is split into an m^n grid
 whose cells, of every dimension, live in one boolean array: the doubled grid
-of shape (2m+1)^n, where the cell with anchor corner a and extent mask mu
-sits at index 2a + mu.  Odd coordinates mark the axes along which a cell has
-unit extent, so a cell's dimension is its number of odd coordinates.
+of shape (2m+1)^n.  Along each axis slot 2q is grid plane q and slot 2q+1 the
+open interval between planes q and q+1, so the cell with anchor corner a and
+extent mask mu sits at index 2a + mu, and a cell's dimension is its number of
+odd coordinates.
 
-The complex keeps every cell whose closed cell meets no line, decided
-exactly with rational slab clipping.  In particular a grid cube is free iff
-its closed cube misses all lines, and the line-free faces of stabbed cubes
-are kept as well: a line nicking only a corner of a cube removes the cube
-but not its far faces, and dropping those faces would leave hollow shells
-that inflate the measured Betti numbers.  Chords of a convex box are
-unknotted and unlinked, so the clipped complement shares the Betti data of
-the full complement (a tested hypothesis; every acceptance fixture
-exercises it).
+The complex keeps every cell whose closed cell meets no line.  Inside the box
+a line changes open cell only where one of its coordinates meets a grid
+plane, and the open cell between two consecutive crossings has the cells at
+both crossings as faces.  So the closed cells a line meets are the cofaces,
+the star, of the open cells at its exact plane crossings.  In particular a grid cube is free iff its
+closed cube misses all lines, and the line-free faces of stabbed cubes are
+kept as well: a line nicking only a corner of a cube removes the cube but
+not its far faces, and dropping those faces would leave hollow shells that
+inflate the measured Betti numbers.  Chords of a convex box are unknotted
+and unlinked, so the clipped complement shares the Betti data of the full
+complement (a tested hypothesis; every acceptance fixture exercises it).
 
 The facets of a cell are its neighbours p +- e_a along its odd axes, so face
-incidence is exactly 6-connectivity of the doubled grid and components come
-from component labelling.  For n <= 3 no boundary-matrix rank is needed:
+incidence is exactly 6-connectivity of the doubled grid, and component
+labelling finds the slivers the grid cannot certify.
 
-- b_0 is the number of components of the complex;
-- b_{n-1} is the number of components of the complement in the padded
-  grid, minus one (Alexander duality, Hatcher, Algebraic Topology 3.3);
-- b_n is 0, since the complex is a proper compact subset of R^n;
-- for n = 3, b_1 follows from the Euler characteristic, counted per cell
-  dimension.
-
-For n = 2 the identity b_0 - b_1 = chi is independent of both labellings
-and is checked on every run.  The 4-dimensional grid (behind ``allow_dim4``)
-takes full GF(2) boundary-matrix ranks instead, the same computation the
-tests use as the oracle for the labelling path.
+The homology is read off the complement U of the complex rather than the
+complex itself: U hugs the lines, O(d m) cells against O(m^n).  Since the
+complex is closed under faces, U is closed under cofaces, and its slots are
+the cells of the dual complex.  A slot's dual dimension is its number of even
+coordinates, and its dual faces are its neighbours s +- e_a along even axes
+that stay inside the grid; the neighbours outside form the padding.  By
+Alexander duality over GF(2) (Hatcher, Algebraic Topology 3.3, on the cubical
+dual of Kaczynski, Mischaikow and Mrozek, Computational Homology), the
+reduced Betti numbers of the complex are b~_k = dim H_{n-1-k}(U, pad), in
+every ambient dimension.
 """
 
 from __future__ import annotations
@@ -38,14 +40,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
 from .arrangement import Arrangement, MultiplePoint, multiple_points
-from .errors import InvariantViolation, ResolutionTooCoarse, WrongDimension
-from .geometry import Line, Point, dot, line_box_params, sub
+from .errors import GridTooLarge, InvariantViolation, ResolutionTooCoarse
+from .geometry import Line, Point, dot, sub
 
 BettiVector = tuple[int, ...]
+
+# Largest doubled grid rasterize_complement allocates.  A verify peaks at
+# about 8 bytes per slot (measured at n = 3, m = 128), so about half a GB.
+_MAX_SLOTS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -83,10 +90,10 @@ def _slab(mask: int, n: int) -> tuple[slice, ...]:
 # rasterization
 
 
-def _bounding_cube(a: Arrangement):
+def _bounding_cube(a: Arrangement, mps: list[MultiplePoint]):
     """Rational cube around all multiple points and line base points, inflated
     by one box-width of margin on each side."""
-    anchors = [mp.location for mp in multiple_points(a)]
+    anchors = [mp.location for mp in mps]
     anchors += [line.base for line in a.lines]
     if not anchors:
         anchors = [tuple(Fraction(0) for _ in range(a.dimension))]
@@ -177,121 +184,61 @@ def _coarseness_guard(
                     )
 
 
-def _index_range(x1: Fraction, x2: Fraction, lo: Fraction, side: Fraction, m: int):
-    """Indices of grid cells whose closed extent meets [x1, x2], or None.
-
-    A value exactly on an interior grid plane belongs to the closed cells on
-    both sides.
-    """
-    q1, rem1 = divmod(x1 - lo, side)
-    k_lo = int(q1) - 1 if rem1 == 0 else int(q1)
-    q2, _ = divmod(x2 - lo, side)
-    k_hi = int(q2)
-    if k_hi < 0 or k_lo > m - 1:
-        return None
-    return (max(k_lo, 0), min(k_hi, m - 1))
+def _slot(num: int, den: int) -> int:
+    """Doubled-grid index, along one axis, of the open cell holding the grid
+    coordinate num/den (den > 0): 2q on grid plane q, 2q+1 strictly between
+    planes q and q+1, with q = floor(num/den)."""
+    q, rem = divmod(num, den)
+    return 2 * q + (rem != 0)
 
 
-def _plane_range(x1: Fraction, x2: Fraction, lo: Fraction, side: Fraction, m: int):
-    """Grid plane indices i with lo + i*side inside [x1, x2], or None."""
-    i_lo = int(-((lo - x1) // side))  # ceil((x1 - lo) / side)
-    i_hi = int((x2 - lo) // side)
-    if i_hi < 0 or i_lo > m:
-        return None
-    i_lo, i_hi = max(i_lo, 0), min(i_hi, m)
-    if i_lo > i_hi:
-        return None
-    return (i_lo, i_hi)
+def _mark_line(hit: np.ndarray, line: Line, box_lo, side: Fraction, m: int):
+    """Mark in the doubled grid ``hit`` the open cell at each point where the
+    line meets a grid plane inside the box, exactly.
 
-
-def _mark_line(stabbed: np.ndarray, line: Line, box_lo, side: Fraction, m: int):
-    """Mark every grid cell, of every dimension, whose closed cell the line
-    meets, exactly, in the doubled grid ``stabbed``.
-
-    For each extent mask the slab walk pins all axes but one to positions
-    compatible with the running parameter interval (cube index ranges for
-    extent axes, plane hits for degenerate axes) and resolves the final
-    moving axis to one contiguous index range.
+    In grid units the line is u(t) = (p + t w) / den, with integer p, w and
+    den > 0, and it meets plane i of axis a at t = (i den - p_a) / w_a.  The
+    span ends are such crossings with the box faces, and between two
+    consecutive crossings the line stays in one open cell, which has the
+    cells at both ends as faces.  So the star of the marked cells is exactly
+    the set of closed cells the line meets.  Scaling the parameter to
+    tau = W t, with W the lcm of the nonzero |w_a|, makes every crossing an
+    integer.
     """
     n = line.dimension
-    box_hi = [c + m * side for c in box_lo]
-    span = line_box_params(line, box_lo, box_hi)
-    if span is None:
-        return
-    moving = [a for a in range(n) if line.direction[a] != 0]
-    ranged = moving[-1]
-    iter_axes = moving[:-1]
-
-    def x_at(axis, t):
-        return line.base[axis] + t * line.direction[axis]
-
-    for mask in range(1 << n):
-        arr = stabbed[_slab(mask, n)]
-        fixed_pairs = []
-        reachable = True
-        for a in range(n):
-            if line.direction[a] != 0:
-                continue
-            if (mask >> a) & 1:
-                r = _index_range(line.base[a], line.base[a], box_lo[a], side, m)
-            else:
-                r = _plane_range(line.base[a], line.base[a], box_lo[a], side, m)
-            if r is None:
-                reachable = False
-                break
-            fixed_pairs.append((a, r))
-        if not reachable:
+    units = [(b - lo) / side for b, lo in zip(line.base, box_lo)]
+    units += [Fraction(v) / side for v in line.direction]
+    den = lcm(*(x.denominator for x in units))
+    ints = [x.numerator * (den // x.denominator) for x in units]
+    p, w = ints[:n], ints[n:]
+    scale = lcm(*(abs(x) for x in w if x))
+    crossings, spans = [], []
+    for pa, wa in zip(p, w):
+        if wa == 0:
+            if not 0 <= pa <= m * den:
+                return
             continue
-
-        def positions(axis, t_lo, t_hi):
-            x1, x2 = x_at(axis, t_lo), x_at(axis, t_hi)
-            if x1 > x2:
-                x1, x2 = x2, x1
-            if (mask >> axis) & 1:
-                return _index_range(x1, x2, box_lo[axis], side, m)
-            return _plane_range(x1, x2, box_lo[axis], side, m)
-
-        def sub_interval(axis, i, t_lo, t_hi):
-            v = line.direction[axis]
-            if (mask >> axis) & 1:
-                p1 = (box_lo[axis] + i * side - line.base[axis]) / v
-                p2 = (box_lo[axis] + (i + 1) * side - line.base[axis]) / v
-                if p1 > p2:
-                    p1, p2 = p2, p1
-            else:
-                p1 = p2 = (box_lo[axis] + i * side - line.base[axis]) / v
-            lo, hi = max(t_lo, p1), min(t_hi, p2)
-            return (lo, hi) if lo <= hi else None
-
-        def walk(depth, t_lo, t_hi, chosen):
-            if depth == len(iter_axes):
-                r = positions(ranged, t_lo, t_hi)
-                if r is None:
-                    return
-                idx = [slice(None)] * n
-                for axis, (k_lo, k_hi) in chosen + fixed_pairs + [(ranged, r)]:
-                    idx[axis] = slice(k_lo, k_hi + 1)
-                arr[tuple(idx)] = True
-                return
-            a = iter_axes[depth]
-            r = positions(a, t_lo, t_hi)
-            if r is None:
-                return
-            for i in range(r[0], r[1] + 1):
-                sub = sub_interval(a, i, t_lo, t_hi)
-                if sub is not None:
-                    walk(depth + 1, sub[0], sub[1], chosen + [(a, (i, i))])
-
-        walk(0, span[0], span[1], [])
+        taus = [(i * den - pa) * (scale // wa) for i in range(m + 1)]
+        spans.append(sorted((taus[0], taus[-1])))
+        crossings += taus
+    first, last = max(s[0] for s in spans), min(s[1] for s in spans)
+    if first > last:
+        return
+    taus = [t for t in crossings if first <= t <= last]
+    hit[tuple(
+        [_slot(scale * pa + t * wa, scale * den) for t in taus] for pa, wa in zip(p, w)
+    )] = True
 
 
-def _components(grid: np.ndarray):
-    """Labels and count of the components of a doubled grid.  The default
-    structuring element joins slots one step apart along one axis, which on
-    the doubled grid is exactly face incidence."""
-    from scipy import ndimage
-
-    return ndimage.label(grid)
+def _star(hit: np.ndarray) -> np.ndarray:
+    """The marked slots with all their cofaces.  A coface of a cell keeps
+    each odd coordinate and may move each even one to an odd neighbour, so
+    one pass per axis ORs every even slot into its two odd neighbours."""
+    star = hit.copy()
+    for ax in range(star.ndim):
+        view = np.moveaxis(star, ax, 0)
+        view[1::2] |= view[0:-1:2] | view[2::2]
+    return star
 
 
 def _certified(free: np.ndarray) -> np.ndarray:
@@ -301,9 +248,13 @@ def _certified(free: np.ndarray) -> np.ndarray:
     edges deep inside a stabbed tube) belongs to some neighbouring region of
     the true complement, but the grid cannot certify which one; keeping it
     would add spurious components.  Components owning at least one free
-    cube, an all-odd slot, are kept in full.
+    cube, an all-odd slot, are kept in full.  The default structuring element
+    of the labelling joins slots one step apart along one axis, which on the
+    doubled grid is exactly face incidence.
     """
-    labels, count = _components(free)
+    from scipy import ndimage
+
+    labels, count = ndimage.label(free)
     owned = np.zeros(count + 1, dtype=bool)
     owned[labels[_slab((1 << free.ndim) - 1, free.ndim)]] = True
     owned[0] = False
@@ -323,38 +274,38 @@ def _closure_cells(occ: np.ndarray) -> np.ndarray:
     return ndimage.binary_dilation(grid, np.ones((3,) * n, dtype=bool))
 
 
-def rasterize_complement(a: Arrangement, m: int, allow_dim4: bool = False) -> CubicalComplex:
+def rasterize_complement(a: Arrangement, m: int) -> CubicalComplex:
     """Rasterize the box-clipped complement at resolution m.
 
     Args:
-        a: the arrangement; the ambient dimension must be 2 or 3 (4 is
-           admitted with ``allow_dim4`` but costs m^4 cubes).
+        a: the arrangement, in any ambient dimension.
         m: cubes per axis, at least 2.
-        allow_dim4: opt in to the expensive 4-dimensional grid.
 
     Raises:
-        WrongDimension: unsupported ambient dimension.
         ResolutionTooCoarse: the grid cannot separate nearby features.
+        GridTooLarge: the doubled grid would exceed the slot budget.
     """
     n = a.dimension
-    if n not in (2, 3) and not (n == 4 and allow_dim4):
-        raise WrongDimension(
-            f"rasterization supports dimensions 2 and 3 (4 behind allow_dim4), got {n}"
-        )
     if m < 2:
         raise ResolutionTooCoarse(f"resolution must be at least 2, got {m}")
-    box_lo, total = _bounding_cube(a)
+    if (2 * m + 1) ** n > _MAX_SLOTS:
+        raise GridTooLarge(
+            f"a grid of {m} cubes per axis in dimension {n} needs (2m+1)^n = "
+            f"{(2 * m + 1) ** n} slots, more than the budget of {_MAX_SLOTS}"
+        )
+    mps = multiple_points(a)
+    box_lo, total = _bounding_cube(a, mps)
     cube_side = total / m
-    _coarseness_guard(a, multiple_points(a), cube_side, total)
-    stabbed = np.zeros((2 * m + 1,) * n, dtype=bool)
+    _coarseness_guard(a, mps, cube_side, total)
+    hit = np.zeros((2 * m + 1,) * n, dtype=bool)
     for line in a.lines:
-        _mark_line(stabbed, line, box_lo, cube_side, m)
+        _mark_line(hit, line, box_lo, cube_side, m)
     return CubicalComplex(
         dimension=n,
         resolution=m,
         box_lo=box_lo,
         cube_side=cube_side,
-        grid=_certified(~stabbed),
+        grid=_certified(~_star(hit)),
     )
 
 
@@ -380,41 +331,48 @@ def gf2_rank(columns) -> int:
 
 
 def betti_numbers(c: CubicalComplex) -> BettiVector:
-    """GF(2) Betti numbers (b_0, ..., b_n) of the complex.
-
-    For n <= 3 they come from two component labellings and the Euler
-    characteristic (see the module docstring); for n = 4 from full
-    boundary-matrix ranks.
+    """GF(2) Betti numbers (b_0, ..., b_n) of the complex, from the ranks of
+    the dual boundary maps of its complement (see the module docstring).
 
     Raises:
-        InvariantViolation: for n = 2, b_0 - b_1 differs from the Euler
-            characteristic, so the complex is not a face-closed complex.
+        InvariantViolation: the complex is not closed under faces.
     """
     n = c.dimension
-    if n > 3:
-        return _betti_direct(c)
-    _, b0 = _components(c.grid)
-    _, outside = _components(np.pad(~c.grid, 1, constant_values=True))
-    top = outside - 1  # b_{n-1}, by Alexander duality
-    chi = sum(
-        (-1) ** bin(mask).count("1") * int(np.count_nonzero(c.grid[_slab(mask, n)]))
-        for mask in range(1 << n)
-    )
-    if n == 2:
-        if b0 - top != chi:
-            raise InvariantViolation(
-                f"Euler characteristic {chi} differs from b0 - b1 = {b0} - {top}"
-            )
-        return (b0, top, 0)
-    return (b0, b0 + top - chi, top, 0)
+    if not c.grid.any():
+        return (0,) * (n + 1)
+    outside = ~c.grid
+    if (c.grid & _star(outside)).any():
+        raise InvariantViolation("a cell of the complex has a face outside it")
+    flat = np.flatnonzero(outside)
+    coords = np.unravel_index(flat, outside.shape)
+    even = np.stack([(x & 1) == 0 for x in coords])
+    dual_dim = even.sum(axis=0)
+    size = outside.shape[0]  # 2m + 1
+    strides = size ** np.arange(n - 1, -1, -1)  # C order, in slots
+    by_dim = [flat[dual_dim == j] for j in range(n + 1)]
+    ranks = [0] * (n + 2)  # ranks[j]: rank of the dual boundary C_j -> C_{j-1}
+    for j in range(1, n + 1):
+        sel = dual_dim == j
+        faces = []  # row of each dual face, -1 where there is none
+        for ax in range(n):
+            x, ev = coords[ax][sel], even[ax][sel]
+            for step in (-1, 1):
+                rows = np.searchsorted(by_dim[j - 1], by_dim[j] + step * strides[ax])
+                faces.append(np.where(ev & (0 <= x + step) & (x + step < size), rows, -1))
+        # gf2_rank pivots on the highest row; feeding the columns from the
+        # highest slot down keeps its fill-in small on these banded matrices
+        columns = np.stack(faces, axis=1)[::-1].tolist()
+        ranks[j] = gf2_rank(sum(1 << r for r in col if r >= 0) for col in columns)
+    h = [len(by_dim[j]) - ranks[j] - ranks[j + 1] for j in range(n)]
+    return (1 + h[n - 1], *h[n - 2::-1], 0)
 
 
 def _betti_direct(c: CubicalComplex) -> BettiVector:
-    """Betti numbers from full boundary-matrix ranks, no shortcut.
+    """Betti numbers from full boundary-matrix ranks of the complex itself.
 
     The facets of a k-cell at flat index p are p +- stride_a along its odd
-    axes a.  Quadratic in the cell count: the n = 4 path, and the oracle the
-    tests hold the labelling path to on small complexes.
+    axes a.  Quadratic in the cell count: the oracle the tests hold
+    ``betti_numbers`` to on small complexes.
 
     Raises:
         InvariantViolation: some facet of a cell is missing from the complex.

@@ -40,6 +40,10 @@ class ResolutionTooCoarse(LinetopoError):
     """Grid resolution cannot separate nearby arrangement features."""
 
 
+class GridTooLarge(LinetopoError):
+    """Grid resolution exceeds the rasterization memory budget."""
+
+
 class InvalidProfile(LinetopoError):
     """Unknown random-arrangement profile string."""
 

@@ -62,6 +62,8 @@ def parse_arrangement(text: str) -> Arrangement:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply to parse") from exc
     _expect(isinstance(doc, dict), "top level must be an object", "$")
     _expect("dimension" in doc, "missing 'dimension'", "$")
     n = doc["dimension"]

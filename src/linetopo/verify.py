@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .arrangement import Arrangement, predict_topology
 from .cubical import BettiVector, betti_numbers, rasterize_complement
-from .errors import WrongDimension
 
 
 @dataclass(frozen=True)
@@ -24,12 +23,15 @@ def verify_arrangement(a: Arrangement, m: int) -> VerificationReport:
 
     The two sides share no code beyond exact line intersection: the
     prediction comes from the handle-count formula, the measurement from
-    component labelling and Alexander duality on the grid.
+    GF(2) ranks of the rasterized complement's dual complex and Alexander
+    duality.  Any ambient dimension is accepted whose doubled grid fits the
+    rasterization budget.
+
+    Raises:
+        ResolutionTooCoarse: the grid cannot separate nearby features.
+        GridTooLarge: the grid exceeds the rasterization budget.
+        InvariantViolation: the rasterized complex is not closed under faces.
     """
-    if a.dimension not in (2, 3):
-        raise WrongDimension(
-            f"verification supports dimensions 2 and 3, got {a.dimension}"
-        )
     predicted = predict_topology(a).betti
     measured = betti_numbers(rasterize_complement(a, m))
     return VerificationReport(

@@ -190,6 +190,23 @@ def test_homology_oracle_cost_at_grid_64():
     assert elapsed < 20.0, f"five fixtures at grid 64 took {elapsed:.1f}s, budget 20s"
 
 
+def test_homology_oracle_n4():
+    # two lines crossing at the origin and a third skew to both; grid 12 is
+    # the first the guard accepts
+    with criterion(9, "homology oracle n=4, grid 12"):
+        a = build_arrangement(
+            4,
+            [((0, 0, 0, 0), (1, 0, 0, 0)), ((0, 0, 0, 0), (0, 1, 0, 0)),
+             ((0, 0, 1, 0), (0, 0, 0, 1))],
+        )
+        assert genus(a) == 4
+        t0 = time.perf_counter()
+        rep = verify_arrangement(a, 12)
+        elapsed = time.perf_counter() - t0
+        assert rep.match and rep.measured == (1, 0, 4, 0, 0)
+        assert elapsed < 5.0, f"n=4 at grid 12 took {elapsed:.2f}s, budget 5s"
+
+
 def test_criterion_6_homology_oracle_n2():
     with criterion(6, "homology oracle n=2, 20 planar arrangements at grid 32"):
         checked = 0

@@ -14,6 +14,15 @@ PENCIL3 = serialize_arrangement(
 
 ONE_LINE3 = serialize_arrangement(build_arrangement(3, [((0, 0, 0), (1, 0, 0))]))
 
+# two lines crossing at the origin and a third skew to both, in R^4: g = 4
+CROSS_SKEW4 = serialize_arrangement(
+    build_arrangement(
+        4,
+        [((0, 0, 0, 0), (1, 0, 0, 0)), ((0, 0, 0, 0), (0, 1, 0, 0)),
+         ((0, 0, 1, 0), (0, 0, 0, 1))],
+    )
+)
+
 
 def run(capsys, argv, stdin_text=None, tmp_path=None):
     if stdin_text is not None:
@@ -51,6 +60,35 @@ def test_verify_exit_zero_on_match(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["verification"]["measured"] == [1, 1, 0, 0]
     assert doc["verification"]["match"] is True
+
+
+def test_verify_in_four_dimensions(capsys, tmp_path):
+    code, out, _ = run(capsys, ["verify", "--grid", "12"], CROSS_SKEW4, tmp_path)
+    assert code == 0
+    doc = json.loads(out)["verification"]
+    assert doc["predicted"] == doc["measured"] == [1, 0, 4, 0, 0]
+
+
+def test_grid_over_budget_is_an_input_error(capsys, tmp_path):
+    # refused before anything is allocated
+    code, out, err = run(capsys, ["verify", "--grid", "100000"], ONE_LINE3, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "GridTooLarge"
+    assert err.strip()
+
+
+def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, _ = run(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    code, out, _ = run(capsys, ["analyze"], "[" * 200_000 + "]" * 200_000, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
 
 
 def test_sweep_rejects_non_generic_direction(capsys, tmp_path):
@@ -128,8 +166,8 @@ def test_analyze_with_grid_includes_verification(capsys, tmp_path):
 
 
 def test_invariant_violation_is_a_json_error(capsys, tmp_path, monkeypatch):
-    # a planar complex holding an edge without its end vertices breaks the
-    # Euler identity b0 - b1 = chi that betti_numbers checks
+    # a planar complex holding an edge without its end vertices is not
+    # closed under faces, which betti_numbers checks
     grid = np.zeros((5, 5), dtype=bool)
     grid[1, 2] = True
     broken = CubicalComplex(2, 2, (Fraction(0), Fraction(0)), Fraction(1), grid)

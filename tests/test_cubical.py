@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linetopo import (
+    GridTooLarge,
     InvariantViolation,
     ResolutionTooCoarse,
-    WrongDimension,
     betti_numbers,
     build_arrangement,
     euler_region_count,
@@ -20,8 +20,10 @@ from linetopo.cubical import (
     CubicalComplex,
     _betti_direct,
     _closure_cells,
-    _index_range,
+    _mark_line,
     _slab,
+    _slot,
+    _star,
 )
 from linetopo.geometry import line_box_params
 from conftest import seeded_corpus
@@ -35,17 +37,17 @@ def test_gf2_rank_known_matrices():
     assert gf2_rank([0b1010, 0b0101, 0b1111, 0b1]) == 3
 
 
-def test_index_range_boundary_conventions():
-    side = Fraction(1)
-    lo = Fraction(0)
-    # interior value: one cube
-    assert _index_range(Fraction(5, 2), Fraction(5, 2), lo, side, 8) == (2, 2)
-    # exactly on an interior plane: both neighbours
-    assert _index_range(Fraction(3), Fraction(3), lo, side, 8) == (2, 3)
-    # clipped at the grid ends
-    assert _index_range(Fraction(0), Fraction(0), lo, side, 8) == (0, 0)
-    assert _index_range(Fraction(8), Fraction(8), lo, side, 8) == (7, 7)
-    assert _index_range(Fraction(-1), Fraction(-1, 2), lo, side, 8) is None
+def test_slot_boundary_conventions():
+    # grid coordinates num/den on an m = 8 grid
+    # interior value: the odd slot of the open interval holding it
+    assert _slot(5, 2) == 5
+    assert _slot(1, 3) == 1
+    # exactly on an interior plane, also as an unreduced fraction: even slot
+    assert _slot(3, 1) == 6
+    assert _slot(6, 2) == 6
+    # the two box faces
+    assert _slot(0, 1) == 0
+    assert _slot(8, 1) == 16
 
 
 def test_no_lines_leaves_all_cubes_free():
@@ -87,17 +89,23 @@ def test_annulus_and_hollow_shell_reach_the_top_dual_degree():
     assert betti_numbers(hollow) == _betti_direct(hollow) == (1, 0, 1, 0)
 
 
+def test_empty_complex_has_no_homology():
+    for n in (2, 3, 4):
+        c = _complex(np.zeros((5,) * n, dtype=bool))
+        assert betti_numbers(c) == _betti_direct(c) == (0,) * (n + 1)
+
+
 @st.composite
 def _top_cube_sets(draw):
-    n = draw(st.sampled_from([2, 3]))
-    m = draw(st.integers(1, 6 if n == 2 else 4))
+    n = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(1, {2: 6, 3: 4, 4: 3}[n]))
     bits = draw(st.lists(st.booleans(), min_size=m**n, max_size=m**n))
     return np.array(bits, dtype=bool).reshape((m,) * n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_top_cube_sets())
-def test_labelling_matches_direct_ranks_on_random_closures(occ):
+def test_dual_ranks_match_direct_ranks_on_random_closures(occ):
     c = _complex(_closure_cells(occ))
     assert betti_numbers(c) == _betti_direct(c)
 
@@ -107,7 +115,7 @@ def test_complex_missing_a_face_raises_invariant_violation():
     grid[1, 2] = True  # an edge without its two end vertices
     c = _complex(grid)
     with pytest.raises(InvariantViolation):
-        betti_numbers(c)  # b0 - b1 = 1 but chi = -1
+        betti_numbers(c)  # the edge lies in the star of its missing vertices
     with pytest.raises(InvariantViolation):
         _betti_direct(c)
 
@@ -131,8 +139,6 @@ def test_marking_matches_bruteforce_slab_test_in_every_dimension():
     # line lying exactly in a grid plane, and a skew rational line
     import itertools
 
-    from linetopo.cubical import _mark_line
-
     lines = build_arrangement(
         3,
         [
@@ -144,9 +150,10 @@ def test_marking_matches_bruteforce_slab_test_in_every_dimension():
     m = 6
     box_lo = (Fraction(-1), Fraction(-1), Fraction(-1))
     side = Fraction(1)
-    stabbed = np.zeros((2 * m + 1,) * 3, dtype=bool)
+    hit = np.zeros((2 * m + 1,) * 3, dtype=bool)
     for line in lines:
-        _mark_line(stabbed, line, box_lo, side, m)
+        _mark_line(hit, line, box_lo, side, m)
+    stabbed = _star(hit)
     for mask in range(8):
         arr = stabbed[_slab(mask, 3)]
         for pos in itertools.product(*(range(s) for s in arr.shape)):
@@ -190,15 +197,17 @@ def test_guard_on_point_vs_nonincident_line():
 
 
 def test_dimension_gate():
+    # no dimension is refused: the complement of a line in an n-box
+    # retracts to an (n-2)-sphere
     a4 = build_arrangement(4, [((0, 0, 0, 0), (1, 0, 0, 0))])
-    with pytest.raises(WrongDimension):
-        rasterize_complement(a4, 4)
-    c = rasterize_complement(a4, 6, allow_dim4=True)
-    # complement of a line in a 4-box retracts to a 2-sphere
-    assert betti_numbers(c) == (1, 0, 1, 0, 0)
+    assert betti_numbers(rasterize_complement(a4, 6)) == (1, 0, 1, 0, 0)
     a5 = build_arrangement(5, [((0,) * 5, (1, 0, 0, 0, 0))])
-    with pytest.raises(WrongDimension):
-        rasterize_complement(a5, 4)
+    assert betti_numbers(rasterize_complement(a5, 4)) == (1, 0, 0, 1, 0, 0)
+    # the grid budget is what bounds m and n, checked before any allocation
+    with pytest.raises(GridTooLarge):
+        rasterize_complement(a4, 100)
+    with pytest.raises(GridTooLarge):
+        rasterize_complement(build_arrangement(12, [((0,) * 12, (1,) + (0,) * 11)]), 2)
 
 
 def test_resolution_stability_small():
@@ -242,5 +251,6 @@ def test_verify_arrangement_matches_in_both_dims(crossing_pair3):
     assert rep2.match
     assert rep2.measured[0] == euler_region_count(planar)
 
-    with pytest.raises(WrongDimension):
-        verify_arrangement(build_arrangement(4, [((0, 0, 0, 0), (1, 0, 0, 0))]), 8)
+    rep4 = verify_arrangement(build_arrangement(4, [((0, 0, 0, 0), (1, 0, 0, 0))]), 8)
+    assert rep4.match
+    assert rep4.measured == (1, 0, 1, 0, 0)
