@@ -118,7 +118,7 @@ def _parse_direction(raw: str):
 def _cmd_sweep(args) -> int:
     text = _read_input(args.file)
     a = parse_arrangement(text)
-    direction = _parse_direction(args.direction) if args.direction else None
+    direction = _parse_direction(args.direction) if args.direction is not None else None
     doc = _header(text)
     doc.update(_sweep_payload(a, direction))
     _emit(doc)

@@ -54,6 +54,16 @@ def build_poset(a: Arrangement) -> IntersectionPoset:
     return IntersectionPoset(elements=tuple(elements), relations=frozenset(relations))
 
 
+def _up_down(p: IntersectionPoset) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """Strict up-set and down-set of every element, from one pass over the relations."""
+    up: dict[str, set[str]] = {el: set() for el in p.elements}
+    down: dict[str, set[str]] = {el: set() for el in p.elements}
+    for x, y in p.relations:
+        up[x].add(y)
+        down[y].add(x)
+    return up, down
+
+
 def recover_multiplicities(p: IntersectionPoset) -> dict[int, int]:
     """Recover the map i -> t_i from the order relation alone.
 
@@ -61,11 +71,12 @@ def recover_multiplicities(p: IntersectionPoset) -> dict[int, int]:
     excluding T, has size exactly i (only i >= 2 occurs for honest multiple
     points; isolated lines are minimal with empty up-set and are skipped).
     """
+    up, down = _up_down(p)
     t: dict[int, int] = {}
     for el in p.elements:
-        if el == TOP or p.strictly_below(el):
+        if el == TOP or down[el]:
             continue
-        i = len(p.strictly_above(el) - {TOP})
+        i = len(up[el] - {TOP})
         if i >= 2:
             t[i] = t.get(i, 0) + 1
     return dict(sorted(t.items()))
@@ -73,20 +84,18 @@ def recover_multiplicities(p: IntersectionPoset) -> dict[int, int]:
 
 def recover_line_count(p: IntersectionPoset) -> int:
     """Recover d as the number of maximal elements of P minus T."""
-    return sum(
-        1
-        for el in p.elements
-        if el != TOP and p.strictly_above(el) == {TOP}
-    )
+    up, _ = _up_down(p)
+    return sum(1 for el in p.elements if el != TOP and up[el] == {TOP})
 
 
 def hasse_edges(p: IntersectionPoset) -> list[tuple[str, str]]:
     """Covering pairs of the order (its transitive reduction), deterministically ordered."""
-    edges = []
-    for (x, y) in p.relations:
-        above_x = p.strictly_above(x)
-        if not any(y in p.strictly_above(z) for z in above_x if z != y):
-            edges.append((x, y))
+    up, _ = _up_down(p)
+    edges = [
+        (x, y)
+        for (x, y) in p.relations
+        if not any(y in up[z] for z in up[x] if z != y)
+    ]
     return sorted(edges, key=lambda e: (_sort_key(e[0]), _sort_key(e[1])))
 
 

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 
 from .arrangement import Arrangement, multiple_points
 from .errors import DimensionMismatch, NonGenericDirection, ZeroDirection
-from .geometry import Line, Point, as_point, canonicalize_line, dot, point_on_line, sub
+from .geometry import Line, Point, as_point, canonicalize_line, point_on_line, sub
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,16 @@ class SpaceGraph:
     dimension: int
     vertices: tuple[Point, ...]
     edges: tuple[GraphEdge, ...]
+
+    @cached_property
+    def integer_vertices(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each vertex u as (X_u, D_u): integer numerators over D_u > 0, the
+        lcm of its coordinate denominators, so that u = X_u / D_u."""
+        out = []
+        for u in self.vertices:
+            den = lcm(*(c.denominator for c in u))
+            out.append((tuple(c.numerator * (den // c.denominator) for c in u), den))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -110,13 +123,12 @@ def build_space_graph(a: Arrangement) -> SpaceGraph:
     """
     mps = multiple_points(a)
     vertices = tuple(mp.location for mp in mps)
+    cuts_of: list[list[tuple[Fraction, int]]] = [[] for _ in a.lines]
+    for vi, mp in enumerate(mps):
+        for li in mp.incident:
+            cuts_of[li].append((a.lines[li].param_of(mp.location), vi))
     edges: list[GraphEdge] = []
-    for li, line in enumerate(a.lines):
-        cuts = [
-            (line.param_of(mp.location), vi)
-            for vi, mp in enumerate(mps)
-            if li in mp.incident
-        ]
+    for line, cuts in zip(a.lines, cuts_of):
         cuts.sort()
         if not cuts:
             edges.append(GraphEdge(carrier=line, vertices=()))
@@ -156,11 +168,10 @@ def graph_from_segments(n: int, points, segments) -> SpaceGraph:
     return SpaceGraph(dimension=n, vertices=vertices, edges=tuple(edges))
 
 
-def check_direction(x: SpaceGraph, v) -> Violation | None:
-    """None if v satisfies conditions (i) and (ii), else the first Violation.
+def _integer_direction(x: SpaceGraph, v) -> tuple[tuple[int, ...], int]:
+    """Validate a direction and clear its denominators: (w, c) with w = c*v, c > 0.
 
-    (i): v is perpendicular to no edge, so the height is level on no edge.
-    (ii): no two vertices share a height, so levels meet one vertex at most.
+    Scaling by a positive number changes neither genericity nor any sign.
     """
     v = as_point(v)
     if len(v) != x.dimension:
@@ -169,14 +180,58 @@ def check_direction(x: SpaceGraph, v) -> Violation | None:
         )
     if all(c == 0 for c in v):
         raise ZeroDirection("sweep direction is zero")
+    c = lcm(*(q.denominator for q in v))
+    return tuple(q.numerator * (c // q.denominator) for q in v), c
+
+
+def _heights(x: SpaceGraph, w: tuple[int, ...]) -> list[int]:
+    """Integer height numerators h_u = X_u . w; vertex u sits at h_u / D_u."""
+    return [sum(map(mul, num, w)) for num, _ in x.integer_vertices]
+
+
+def _perpendicular_edge(x: SpaceGraph, w: tuple[int, ...]) -> Violation | None:
+    """Condition (i): the first edge whose direction has zero height change."""
     for ei, edge in enumerate(x.edges):
-        if dot(edge.carrier.direction, v) == 0:
+        if sum(map(mul, edge.carrier.direction, w)) == 0:
             return Violation(kind="perpendicular_edge", edge=ei)
-    for i in range(len(x.vertices)):
-        for j in range(i + 1, len(x.vertices)):
-            if dot(sub(x.vertices[i], x.vertices[j]), v) == 0:
-                return Violation(kind="level_vertex_pair", vertex_pair=(i, j))
     return None
+
+
+def _level_pair(x: SpaceGraph, heights: list[int]) -> Violation | None:
+    """Condition (ii): the lexicographically first pair of vertices on one level.
+
+    One pass keyed by the reduced height (h // q, D // q), q = gcd(h, D),
+    which is equal for two vertices iff their heights are.  The smallest
+    index whose height recurs is a first occurrence, and its partner is the
+    second occurrence of that height.
+    """
+    first: dict[tuple[int, int], int] = {}
+    pair = None
+    for j, (h, (_, den)) in enumerate(zip(heights, x.integer_vertices)):
+        q = gcd(h, den)
+        i = first.setdefault((h // q, den // q), j)
+        if i != j and (pair is None or i < pair[0]):
+            pair = (i, j)
+    if pair is None:
+        return None
+    return Violation(kind="level_vertex_pair", vertex_pair=pair)
+
+
+def check_direction(x: SpaceGraph, v) -> Violation | None:
+    """None if v satisfies conditions (i) and (ii), else the first Violation.
+
+    (i): v is perpendicular to no edge, so the height is level on no edge;
+    the first such edge is reported.
+    (ii): no two vertices share a height, so levels meet one vertex at most;
+    the lexicographically first level pair is reported.
+
+    A rational v is scaled to integers first, and each vertex is held as
+    integer numerators over one denominator, so a call costs O(V + E)
+    exact integer operations: one dot product per edge and per vertex, and
+    one hashed pass over the heights.
+    """
+    w, _ = _integer_direction(x, v)
+    return _perpendicular_edge(x, w) or _level_pair(x, _heights(x, w))
 
 
 def find_generic_direction(x: SpaceGraph) -> tuple[int, ...]:
@@ -184,7 +239,9 @@ def find_generic_direction(x: SpaceGraph) -> tuple[int, ...]:
 
     Each genericity constraint excludes the roots of a nonzero polynomial in
     k, so only finitely many candidates fail and the search terminates.  The
-    deterministic choice makes reports reproducible.
+    deterministic choice makes reports reproducible.  Each candidate costs
+    O(V + E) integer operations (see check_direction); the accepted k can
+    grow to about V/3, so the search is O(V (V + E)) in the worst case.
     """
     n = x.dimension
     k = 1
@@ -195,21 +252,6 @@ def find_generic_direction(x: SpaceGraph) -> tuple[int, ...]:
         k += 1
 
 
-def _outgoing_directions(x: SpaceGraph, vertex: int):
-    """Outgoing direction vectors of all edge ends meeting the vertex."""
-    out = []
-    for edge in x.edges:
-        if len(edge.vertices) == 2:
-            i, j = edge.vertices
-            if i == vertex:
-                out.append(sub(x.vertices[j], x.vertices[i]))
-            if j == vertex:
-                out.append(sub(x.vertices[i], x.vertices[j]))
-        elif len(edge.vertices) == 1 and edge.vertices[0] == vertex:
-            out.append(edge.ray_dir)
-    return out
-
-
 def sweep_events(x: SpaceGraph, v) -> SweepPlan:
     """Ordered vertex events with upward/downward branch counts.
 
@@ -217,28 +259,43 @@ def sweep_events(x: SpaceGraph, v) -> SweepPlan:
     otherwise.  Condition (ii) makes the event levels strictly increasing, so
     no tie-breaking exists.  initial_rays_down counts the unbounded edge ends
     oriented downward: one per downward half-line and one per full line.
+
+    The re-check reuses the integer heights, and s and r come from one pass
+    over the edges: a segment adds to s at its lower end and to r at its
+    upper end, a half-line to s or r by the sign of its direction.  With the
+    sort of the levels, a call costs O(V log V + E).
     """
-    violation = check_direction(x, v)
+    v = as_point(v)
+    w, c = _integer_direction(x, v)
+    heights = _heights(x, w)
+    violation = _perpendicular_edge(x, w) or _level_pair(x, heights)
     if violation is not None:
         raise NonGenericDirection(violation)
-    v = as_point(v)
-    events = []
-    for vi, u in enumerate(x.vertices):
-        s = r = 0
-        for w in _outgoing_directions(x, vi):
-            if dot(w, v) > 0:
-                s += 1
-            else:
-                r += 1  # dot is nonzero by condition (i)
-        events.append(SweepEvent(vertex=vi, level=dot(u, v), s=s, r=r))
-    events.sort(key=lambda e: e.level)
+    dens = [den for _, den in x.integer_vertices]
+    s = [0] * len(heights)
+    r = [0] * len(heights)
     rays_down = 0
     for edge in x.edges:
-        if len(edge.vertices) == 0:
+        if len(edge.vertices) == 2:
+            lo, hi = edge.vertices
+            if heights[lo] * dens[hi] > heights[hi] * dens[lo]:
+                lo, hi = hi, lo
+            s[lo] += 1
+            r[hi] += 1
+        elif edge.vertices:
+            if sum(map(mul, edge.ray_dir, w)) > 0:
+                s[edge.vertices[0]] += 1
+            else:
+                r[edge.vertices[0]] += 1  # nonzero by condition (i)
+                rays_down += 1
+        else:
             rays_down += 1  # a full line has exactly one downward end
-        elif len(edge.vertices) == 1 and dot(edge.ray_dir, v) < 0:
-            rays_down += 1
-    return SweepPlan(direction=v, events=tuple(events), initial_rays_down=rays_down)
+    levels = [Fraction(h, den * c) for h, den in zip(heights, dens)]
+    events = tuple(
+        SweepEvent(vertex=u, level=levels[u], s=s[u], r=r[u])
+        for u in sorted(range(len(levels)), key=levels.__getitem__)
+    )
+    return SweepPlan(direction=v, events=events, initial_rays_down=rays_down)
 
 
 def handle_trace(plan: SweepPlan, n: int) -> HandleTrace:

@@ -22,6 +22,7 @@ from linetopo import (
     check_direction,
     euler_region_count,
     find_generic_direction,
+    generate_random,
     genus,
     graph_from_segments,
     handle_trace,
@@ -138,6 +139,18 @@ def test_criterion_3_sweep_formula_equivalence():
                 assert trace2.final_g == trace.final_g
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"sweep equivalence took {elapsed:.2f}s, budget 30s"
+
+
+def test_sweep_certification_cost_planar_d40(tmp_path):
+    # 751 vertices; the first acceptor on the moment curve is k = 57
+    a = generate_random(2, 40, "mixed", 1)
+    t0 = time.perf_counter()
+    code, doc = _analyze(tmp_path, a)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert doc["self_check"]["agree"] is True
+    assert doc["sweep"]["plan"]["direction"] == ["1", "57"]
+    assert elapsed < 10.0, f"planar d=40 analyze took {elapsed:.2f}s, budget 10s"
 
 
 def test_criterion_4_poset_recovery():

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from linetopo import CubicalComplex, build_arrangement, serialize_arrangement
 from linetopo.cli import run_cli
@@ -97,6 +98,15 @@ def test_sweep_rejects_non_generic_direction(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["error"]["type"] == "NonGenericDirection"
     assert "condition i" in doc["error"]["message"]
+    assert err.strip()
+
+
+@pytest.mark.parametrize("direction", ["", "1,2,"])
+def test_sweep_malformed_direction_is_a_parse_error(capsys, tmp_path, direction):
+    # an empty value is malformed too; it must not fall back to the search
+    code, out, err = run(capsys, ["sweep", "--direction", direction], ONE_LINE3, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
     assert err.strip()
 
 

@@ -64,6 +64,20 @@ def test_hasse_edges(crossing_pair3, one_line3, skew_pair3):
     assert hasse_edges(build_poset(skew_pair3)) == [("l0", "T"), ("l1", "T")]
 
 
+@pytest.mark.parametrize("n,seed0", [(2, 650), (3, 750)])
+def test_hasse_edges_match_the_covering_definition(n, seed0):
+    # (x, y) covers iff no z with x < z < y, read through the per-element queries
+    for a in seeded_corpus(n, 10, 8, seed0=seed0):
+        p = build_poset(a)
+        covers = {
+            (x, y)
+            for (x, y) in p.relations
+            if not any(y in p.strictly_above(z) for z in p.strictly_above(x))
+        }
+        edges = hasse_edges(p)
+        assert set(edges) == covers and len(edges) == len(covers)
+
+
 def test_hasse_dot_output(crossing_pair3):
     dot = hasse_dot(build_poset(crossing_pair3))
     assert dot.startswith("digraph hasse {")

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from linetopo import (
     NonGenericDirection,
@@ -13,8 +16,77 @@ from linetopo import (
     multiple_points,
     sweep_events,
 )
-from linetopo.sweep import SpaceGraph
+from linetopo.errors import LinetopoError
+from linetopo.geometry import as_point, dot, sub
+from linetopo.sweep import SpaceGraph, SweepEvent, SweepPlan, Violation
 from conftest import second_generic_direction, seeded_corpus
+
+
+# Reference oracles: the direct O(V^2) genericity check and O(V*E) event pass
+# in Fraction arithmetic, against which the integer implementations are
+# compared.
+
+
+def _oracle_check_direction(x: SpaceGraph, v) -> Violation | None:
+    v = as_point(v)
+    for ei, edge in enumerate(x.edges):
+        if dot(edge.carrier.direction, v) == 0:
+            return Violation(kind="perpendicular_edge", edge=ei)
+    for i in range(len(x.vertices)):
+        for j in range(i + 1, len(x.vertices)):
+            if dot(sub(x.vertices[i], x.vertices[j]), v) == 0:
+                return Violation(kind="level_vertex_pair", vertex_pair=(i, j))
+    return None
+
+
+def _oracle_outgoing_directions(x: SpaceGraph, vertex: int):
+    out = []
+    for edge in x.edges:
+        if len(edge.vertices) == 2:
+            i, j = edge.vertices
+            if i == vertex:
+                out.append(sub(x.vertices[j], x.vertices[i]))
+            if j == vertex:
+                out.append(sub(x.vertices[i], x.vertices[j]))
+        elif len(edge.vertices) == 1 and edge.vertices[0] == vertex:
+            out.append(edge.ray_dir)
+    return out
+
+
+def _oracle_sweep_events(x: SpaceGraph, v) -> SweepPlan:
+    violation = _oracle_check_direction(x, v)
+    if violation is not None:
+        raise NonGenericDirection(violation)
+    v = as_point(v)
+    events = []
+    for vi, u in enumerate(x.vertices):
+        s = r = 0
+        for w in _oracle_outgoing_directions(x, vi):
+            if dot(w, v) > 0:
+                s += 1
+            else:
+                r += 1
+        events.append(SweepEvent(vertex=vi, level=dot(u, v), s=s, r=r))
+    events.sort(key=lambda e: e.level)
+    rays_down = 0
+    for edge in x.edges:
+        if len(edge.vertices) == 0:
+            rays_down += 1
+        elif len(edge.vertices) == 1 and dot(edge.ray_dir, v) < 0:
+            rays_down += 1
+    return SweepPlan(direction=v, events=tuple(events), initial_rays_down=rays_down)
+
+
+def _assert_matches_oracle(graph: SpaceGraph, v) -> None:
+    """check_direction and sweep_events agree with the oracles on (graph, v)."""
+    expected = _oracle_check_direction(graph, v)
+    assert check_direction(graph, v) == expected
+    if expected is None:
+        assert sweep_events(graph, v) == _oracle_sweep_events(graph, v)
+    else:
+        with pytest.raises(NonGenericDirection) as exc:
+            sweep_events(graph, v)
+        assert exc.value.violation == expected
 
 
 def test_space_graph_crossing_pair(crossing_pair3):
@@ -209,3 +281,66 @@ def test_sweep_formula_equivalence_sample(n, seed0):
         v2 = second_generic_direction(graph, v)
         trace2 = handle_trace(sweep_events(graph, v2), n)
         assert trace2.final_g == trace.final_g
+
+
+def _perpendicular(v):
+    """A nonzero vector orthogonal to the nonzero vector v."""
+    k = next(i for i, c in enumerate(v) if c != 0)
+    m = (k + 1) % len(v)
+    p = [Fraction(0)] * len(v)
+    p[k], p[m] = -v[m], v[k]
+    return tuple(p)
+
+
+_COORD = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _graphs_and_directions(draw):
+    """A small graph_from_segments graph and a nonzero direction v.  Most
+    draws force in a vertex on the level of another, a segment perpendicular
+    to v, or both; the rest are mostly generic."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    v = draw(st.tuples(*[_COORD] * n).filter(any))
+    points = draw(st.lists(st.tuples(*[_COORD] * n), min_size=1, max_size=7, unique=True))
+    pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
+    segments = draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)) if pairs else []
+    if draw(st.sampled_from([True, True, False])):
+        base = draw(st.integers(0, len(points) - 1))
+        level_mate = tuple(a + b for a, b in zip(points[base], _perpendicular(v)))
+        if level_mate not in points:
+            points.append(level_mate)
+        if draw(st.booleans()):
+            segments.append((base, points.index(level_mate)))
+    try:
+        graph = graph_from_segments(n, points, segments)
+    except (ValueError, LinetopoError):
+        assume(False)  # a vertex inside a segment, or a repeated segment
+    return graph, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_and_directions(), st.booleans())
+def test_integer_check_matches_oracle_on_random_graphs(graph_and_v, integral):
+    graph, v = graph_and_v
+    if integral:
+        v = tuple(c.numerator for c in v)
+    _assert_matches_oracle(graph, v)
+
+
+@pytest.mark.parametrize("n,seed0", [(2, 1000), (3, 2000), (4, 3000)])
+def test_sweep_plans_match_oracle_on_corpus(n, seed0):
+    user_directions = [
+        tuple(Fraction(1, 2 + i) for i in range(n)),
+        tuple(Fraction((-1) ** i * (i + 3), 7) for i in range(n)),
+        (1,) + (0,) * (n - 1),  # level on every line parallel to the other axes
+    ]
+    for a in seeded_corpus(n, 12, 8, seed0=seed0):
+        graph = build_space_graph(a)
+        v = find_generic_direction(graph)
+        k = v[1]
+        for j in range(1, k + 1):  # every rejected candidate, then the acceptor
+            _assert_matches_oracle(graph, tuple(j**i for i in range(n)))
+        _assert_matches_oracle(graph, second_generic_direction(graph, v))
+        for u in user_directions:
+            _assert_matches_oracle(graph, u)
