@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatch, DuplicateLine, InvariantViolation
 from .geometry import COINCIDENT, Line, Point, canonicalize_line, intersect_lines
@@ -31,6 +32,13 @@ class Arrangement:
     @property
     def d(self) -> int:
         return len(self.lines)
+
+    @cached_property
+    def multiple_points(self) -> tuple[MultiplePoint, ...]:
+        """The multiple points, computed by ``multiple_points(self)`` on first
+        use and cached; the arrangement is frozen, so the cache never goes
+        stale.  Every consumer in the package reads this property."""
+        return tuple(multiple_points(self))
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,11 @@ def build_arrangement(n: int, raw_lines) -> Arrangement:
 def multiple_points(a: Arrangement) -> list[MultiplePoint]:
     """All points lying on >= 2 lines, with their full incident line sets.
 
-    Pairwise exact intersections are grouped by exact coordinate equality;
-    any line through a grouped location is picked up automatically because it
-    meets each of the other incident lines there.  Output is sorted
-    lexicographically by location.
+    This is the uncached O(d^2) pass; ``Arrangement.multiple_points`` caches
+    its result per arrangement.  Pairwise exact intersections are grouped by
+    exact coordinate equality; any line through a grouped location is picked
+    up automatically because it meets each of the other incident lines there.
+    Output is sorted lexicographically by location.
     """
     clusters: dict[Point, set[int]] = {}
     for i in range(len(a.lines)):
@@ -107,39 +116,38 @@ def multiple_points(a: Arrangement) -> list[MultiplePoint]:
 def multiplicity_vector(a: Arrangement) -> dict[int, int]:
     """Map multiplicity i -> number of multiple points with exactly i lines."""
     t: dict[int, int] = {}
-    for mp in multiple_points(a):
+    for mp in a.multiple_points:
         t[mp.multiplicity] = t.get(mp.multiplicity, 0) + 1
     return dict(sorted(t.items()))
 
 
 def genus(a: Arrangement) -> int:
     """d + sum_i (i - 1) t_i: the handle count of the complement."""
-    return a.d + sum((i - 1) * c for i, c in multiplicity_vector(a).items())
+    return predict_topology(a).g
+
+
+def betti_vector(n: int, g: int) -> tuple[int, ...]:
+    """Betti vector (b_0, ..., b_n) of an n-ball with g trivial handles of
+    index n-2 attached: 1 at index 0 and g at index n-2, so 1+g at index 0
+    for n = 2; all other entries vanish."""
+    betti = [0] * (n + 1)
+    betti[0] = 1
+    betti[n - 2] += g
+    return tuple(betti)
 
 
 def predict_topology(a: Arrangement) -> InvariantReport:
-    """Invariants plus the Betti vector and homotopy type they determine.
-
-    The Betti vector is indexed 0..n.  For n >= 3 it is 1 at index 0 and g at
-    index n-2; for n = 2 it is 1+g at index 0; all other entries vanish.
-    """
+    """Invariants plus the Betti vector and homotopy type they determine."""
     n = a.dimension
     t = multiplicity_vector(a)
     g = a.d + sum((i - 1) * c for i, c in t.items())
-    betti = [0] * (n + 1)
-    if n == 2:
-        betti[0] = 1 + g
-        homotopy = f"{1 + g} points"
-    else:
-        betti[0] = 1
-        betti[n - 2] += g  # g = 0 leaves a contractible complement
-        homotopy = f"bouquet of {g} spheres S^{n - 2}"
+    homotopy = f"{1 + g} points" if n == 2 else f"bouquet of {g} spheres S^{n - 2}"
     return InvariantReport(
         dimension=n,
         d=a.d,
         t=t,
         g=g,
-        betti=tuple(betti),
+        betti=betti_vector(n, g),
         homotopy=homotopy,
         boundary_genus=g if n == 3 else None,
     )

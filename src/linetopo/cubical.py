@@ -44,7 +44,7 @@ from math import lcm
 
 import numpy as np
 
-from .arrangement import Arrangement, MultiplePoint, multiple_points
+from .arrangement import Arrangement
 from .errors import GridTooLarge, InvariantViolation, ResolutionTooCoarse
 from .geometry import Line, Point, dot, sub
 
@@ -90,10 +90,10 @@ def _slab(mask: int, n: int) -> tuple[slice, ...]:
 # rasterization
 
 
-def _bounding_cube(a: Arrangement, mps: list[MultiplePoint]):
+def _bounding_cube(a: Arrangement):
     """Rational cube around all multiple points and line base points, inflated
     by one box-width of margin on each side."""
-    anchors = [mp.location for mp in mps]
+    anchors = [mp.location for mp in a.multiple_points]
     anchors += [line.base for line in a.lines]
     if not anchors:
         anchors = [tuple(Fraction(0) for _ in range(a.dimension))]
@@ -130,9 +130,7 @@ def _line_line_dist_sq(a: Line, b: Line) -> Fraction:
     return dot(diff, diff)
 
 
-def _coarseness_guard(
-    a: Arrangement, mps: list[MultiplePoint], cube_side: Fraction, box_side: Fraction
-):
+def _coarseness_guard(a: Arrangement, cube_side: Fraction, box_side: Fraction):
     """Reject resolutions that cannot resolve the arrangement's features.
 
     Certified with exact rational comparisons: any two multiple points, any
@@ -143,6 +141,7 @@ def _coarseness_guard(
     thinner wedge region never certifies a free cube.
     """
     n = a.dimension
+    mps = a.multiple_points
     threshold = 4 * n * cube_side**2  # (2 * cube diameter)^2
     for i in range(len(mps)):
         for j in range(i + 1, len(mps)):
@@ -293,10 +292,9 @@ def rasterize_complement(a: Arrangement, m: int) -> CubicalComplex:
             f"a grid of {m} cubes per axis in dimension {n} needs (2m+1)^n = "
             f"{(2 * m + 1) ** n} slots, more than the budget of {_MAX_SLOTS}"
         )
-    mps = multiple_points(a)
-    box_lo, total = _bounding_cube(a, mps)
+    box_lo, total = _bounding_cube(a)
     cube_side = total / m
-    _coarseness_guard(a, mps, cube_side, total)
+    _coarseness_guard(a, cube_side, total)
     hit = np.zeros((2 * m + 1,) * n, dtype=bool)
     for line in a.lines:
         _mark_line(hit, line, box_lo, cube_side, m)

@@ -120,16 +120,14 @@ def generate_random(n: int, d: int, profile: str, seed: int) -> Arrangement:
         while len(lines) < d:
             lines.append(_draw_generic_line(rng, n, lines, 9, avoid))
     else:
+        avoid = set()  # in the plane: every crossing of the lines drawn so far
         while len(lines) < d:
-            avoid = set()
+            line = _draw_generic_line(rng, n, lines, 9, avoid)
             if n == 2:
                 # concurrences would lower t_2 below the generic count
-                avoid = {
-                    x
-                    for i in range(len(lines))
-                    for j in range(i + 1, len(lines))
-                    if (x := intersect_lines(lines[i], lines[j])) is not None
-                }
-            lines.append(_draw_generic_line(rng, n, lines, 9, avoid))
+                avoid.update(
+                    x for old in lines if (x := intersect_lines(old, line)) is not None
+                )
+            lines.append(line)
 
     return build_arrangement(n, [(l.base, l.direction) for l in lines])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import Arrangement, multiple_points
+from .arrangement import Arrangement
 
 TOP = "T"
 
@@ -38,7 +38,7 @@ def _sort_key(el: str):
 
 def build_poset(a: Arrangement) -> IntersectionPoset:
     """Intersection poset: points below their incident lines, everything below T."""
-    mps = multiple_points(a)
+    mps = a.multiple_points
     elements = (
         [f"p{i}" for i in range(len(mps))]
         + [f"l{i}" for i in range(a.d)]

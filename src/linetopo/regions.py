@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Arrangement, multiple_points
+from .arrangement import Arrangement
 from .errors import InvariantViolation, WrongDimension
 from .geometry import line_box_params, point_on_line
 
@@ -37,7 +37,7 @@ def clipping_box(a: Arrangement):
     points and inflates with side-dependent polynomial offsets; each corner
     trajectory meets any fixed line finitely often, so the loop terminates.
     """
-    anchors = [mp.location for mp in multiple_points(a)]
+    anchors = [mp.location for mp in a.multiple_points]
     anchors += [line.base for line in a.lines]
     if not anchors:
         anchors = [(Fraction(0), Fraction(0))]
@@ -81,21 +81,22 @@ def clip_subdivision(a: Arrangement) -> ClippedSubdivision:
     box = clipping_box(a)
     (x0, x1), (y0, y1) = box
     lo, hi = (x0, y0), (x1, y1)
-    mps = multiple_points(a)
+    mps = a.multiple_points
+    cuts_of: list[list[Fraction]] = [[] for _ in a.lines]
+    for mp in mps:
+        for li in mp.incident:
+            cuts_of[li].append(a.lines[li].param_of(mp.location))
 
     crossings = set()
     segments_inside = 0
-    for li, line in enumerate(a.lines):
+    for li, (line, cuts) in enumerate(zip(a.lines, cuts_of)):
         params = line_box_params(line, lo, hi)
         if params is None or params[0] >= params[1]:
             raise InvariantViolation(f"line {li} does not cross the clipping box")
         t_enter, t_exit = params
         crossings.add(line.point_at(t_enter))
         crossings.add(line.point_at(t_exit))
-        cuts = sorted(
-            [t_enter, t_exit]
-            + [line.param_of(mp.location) for mp in mps if li in mp.incident]
-        )
+        cuts += [t_enter, t_exit]
         if len(set(cuts)) != len(cuts):
             raise InvariantViolation("multiple point on the box boundary")
         segments_inside += len(cuts) - 1

@@ -23,7 +23,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .arrangement import Arrangement, multiple_points
+from .arrangement import Arrangement
 from .errors import DimensionMismatch, NonGenericDirection, ZeroDirection
 from .geometry import Line, Point, as_point, canonicalize_line, point_on_line, sub
 
@@ -121,7 +121,7 @@ def build_space_graph(a: Arrangement) -> SpaceGraph:
     points plus two half-lines, or stays a single full-line edge when no
     multiple point lies on it.
     """
-    mps = multiple_points(a)
+    mps = a.multiple_points
     vertices = tuple(mp.location for mp in mps)
     cuts_of: list[list[tuple[Fraction, int]]] = [[] for _ in a.lines]
     for vi, mp in enumerate(mps):

@@ -21,11 +21,12 @@ def verify_arrangement(a: Arrangement, m: int) -> VerificationReport:
     """Compare the combinatorially predicted Betti vector with the one
     measured by cubical homology of the rasterized complement.
 
-    The two sides share no code beyond exact line intersection: the
-    prediction comes from the handle-count formula, the measurement from
-    GF(2) ranks of the rasterized complement's dual complex and Alexander
-    duality.  Any ambient dimension is accepted whose doubled grid fits the
-    rasterization budget.
+    The two sides share only the intersection pass, the arrangement's cached
+    ``multiple_points``: the prediction feeds them to the handle-count
+    formula, the measurement places its bounding cube and coarseness guard by
+    them and takes GF(2) ranks of the rasterized complement's dual complex
+    and Alexander duality.  Any ambient dimension is accepted whose doubled
+    grid fits the rasterization budget.
 
     Raises:
         ResolutionTooCoarse: the grid cannot separate nearby features.

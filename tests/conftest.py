@@ -43,6 +43,22 @@ def generic_planar3():
     return build_arrangement(2, [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((5, 0), (1, -1))])
 
 
+@pytest.fixture
+def intersection_calls(monkeypatch):
+    """The list of intersect_lines calls made by the intersection pass."""
+    import linetopo.arrangement
+
+    calls = []
+    real = linetopo.arrangement.intersect_lines
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(linetopo.arrangement, "intersect_lines", counting)
+    return calls
+
+
 def second_generic_direction(graph, first):
     """Next moment-curve acceptor after the given accepted direction."""
     from linetopo import check_direction

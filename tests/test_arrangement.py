@@ -1,18 +1,27 @@
+import contextlib
+import io
+import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linetopo import (
     Arrangement,
     DimensionMismatch,
     DuplicateLine,
     build_arrangement,
+    generate_random,
     genus,
     multiple_points,
     multiplicity_vector,
     predict_topology,
+    serialize_arrangement,
 )
 from linetopo.arrangement import transform
+from linetopo.cli import run_cli
 from conftest import X_AXIS3, Y_AXIS3, Z_AXIS3, seeded_corpus
 
 
@@ -135,6 +144,70 @@ def test_invariance_under_affine_isomorphism(coplanar3):
     assert predict_topology(moved).t == predict_topology(coplanar3).t
     assert predict_topology(moved).g == predict_topology(coplanar3).g
     assert predict_topology(moved).betti == predict_topology(coplanar3).betti
+
+
+AFFINE_CORPUS = seeded_corpus(2, 6, 6, seed0=900) + seeded_corpus(3, 6, 5, seed0=910)
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _affine_maps(draw, n):
+    """An invertible rational matrix P L U (permutation, unit lower and
+    upper triangular with a nonzero diagonal) and a rational shift."""
+    perm = draw(st.permutations(range(n)))
+    lower = [[Fraction(int(i == j)) if j >= i else draw(_SMALL_RATIONALS) for j in range(n)]
+             for i in range(n)]
+    upper = [[draw(_SMALL_RATIONALS) if j > i else Fraction(0) for j in range(n)]
+             for i in range(n)]
+    for i in range(n):
+        upper[i][i] = draw(st.sampled_from([-2, -1, Fraction(1, 2), 1, 3]))
+    lu = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    matrix = [lu[perm[i]] for i in range(n)]
+    shift = [draw(_SMALL_RATIONALS) for _ in range(n)]
+    return matrix, shift
+
+
+def _analyze(a) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_arrangement(a))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run_cli(["analyze", path]) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_report_is_invariant_under_random_affine_maps(data):
+    a = data.draw(st.sampled_from(AFFINE_CORPUS))
+    matrix, shift = data.draw(_affine_maps(a.dimension))
+    moved = transform(a, matrix, shift)
+    before, after = predict_topology(a), predict_topology(moved)
+    assert (after.d, after.t, after.g, after.betti) == (before.d, before.t, before.g, before.betti)
+    assert _analyze(moved)["self_check"]["agree"] is True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 7), st.integers(1, 30), st.integers(0, 50))
+def test_near_miss_splits_a_pencil_exactly(k, j, seed):
+    # moving one line of a planar k-pencil by 1/10^j off the apex leaves a
+    # (k-1)-fold point and k-1 fresh double points, however small the shift
+    a = generate_random(2, k, f"pencil({k})", seed)
+    assert multiplicity_vector(a) == {k: 1}
+    first = a.lines[0]
+    eps = Fraction(1, 10**j)
+    nudge = (0, eps) if first.direction[0] != 0 else (eps, 0)
+    moved = build_arrangement(
+        2,
+        [(tuple(b + e for b, e in zip(first.base, nudge)), first.direction)]
+        + [(line.base, line.direction) for line in a.lines[1:]],
+    )
+    expected = {2: k - 1}
+    expected[k - 1] = expected.get(k - 1, 0) + 1
+    assert predict_topology(moved).t == dict(sorted(expected.items()))
 
 
 def test_relabeling_invariance():

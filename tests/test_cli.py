@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linetopo import CubicalComplex, build_arrangement, serialize_arrangement
+from linetopo import CubicalComplex, build_arrangement, generate_random, serialize_arrangement
 from linetopo.cli import run_cli
 
 PENCIL3 = serialize_arrangement(
@@ -187,3 +187,40 @@ def test_invariant_violation_is_a_json_error(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InvariantViolation"
     assert err.strip()
+
+
+# 5000 digits: over Python's 4300-digit str <-> int conversion limit
+LONG = "1" * 5000
+LONG_INPUTS = [
+    '{"dimension":2,"lines":[{"point":["%s","0"],"direction":["1","0"]}]}' % LONG,
+    '{"dimension":2,"lines":[{"point":[%s,"0"],"direction":["1","0"]}]}' % LONG,
+    '{"dimension":%s,"lines":[]}' % LONG,
+]
+
+
+@pytest.mark.parametrize("text", LONG_INPUTS, ids=["string", "literal", "dimension"])
+def test_over_long_integer_is_a_parse_error(capsys, tmp_path, text):
+    code, out, _ = run(capsys, ["analyze"], text, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+# five lines through one point in R^3; the guard accepts grid 24 and it matches
+MIXED3 = serialize_arrangement(generate_random(3, 5, "mixed", 7))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["analyze", "--grid", "24"],
+        ["verify", "--grid", "24"],
+        ["poset"],
+        ["poset", "--format", "dot"],
+        ["sweep"],
+    ],
+)
+def test_each_call_makes_one_intersection_pass(capsys, tmp_path, intersection_calls, argv):
+    code, _, _ = run(capsys, argv, MIXED3, tmp_path)
+    assert code == 0
+    assert len(intersection_calls) == 5 * 4 // 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -58,6 +59,28 @@ def test_parse_rejects_malformed_documents(text, needle):
     assert needle in str(exc.value)
 
 
+LONG = "1" * 5000  # over Python's 4300-digit str <-> int conversion limit
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ('{"dimension":2,"lines":[{"point":["%s","0"],"direction":["1","0"]}]}' % LONG,
+         "lines[0].point[0]: integer has too many digits"),
+        ('{"dimension":2,"lines":[{"point":["0","1/%s"],"direction":["1","0"]}]}' % LONG,
+         "lines[0].point[1]: integer has too many digits"),
+        ('{"dimension":2,"lines":[{"point":[%s,"0"],"direction":["1","0"]}]}' % LONG,
+         "invalid JSON"),
+        ('{"dimension":%s,"lines":[]}' % LONG, "invalid JSON"),
+    ],
+    ids=["numerator", "denominator", "literal", "dimension"],
+)
+def test_parse_over_long_integers(text, needle):
+    with pytest.raises(ParseError) as exc:
+        parse_arrangement(text)
+    assert str(exc.value).startswith(needle)
+
+
 def test_parse_duplicate_reports_both_indices():
     text = json.dumps(
         {
@@ -112,6 +135,15 @@ def test_generate_deterministic():
     assert a == b
     c = generate_random(3, 5, "generic", 43)
     assert c != a
+
+
+def test_generated_planar_corpus_is_pinned():
+    # generic, mixed and pencil profiles, d = 1..12; any change to the
+    # SplitMix64 stream or to the rejection rules moves this digest
+    h = hashlib.sha256()
+    for a in seeded_corpus(2, 60, 12, 4242):
+        h.update(serialize_arrangement(a).encode())
+    assert h.hexdigest() == "b38e16b46ec7639c3710ccd49452c4985520a21af900c37efc696c49514fcb8e"
 
 
 def test_generate_pencil_profile():

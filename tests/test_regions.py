@@ -5,6 +5,7 @@ from linetopo import (
     build_arrangement,
     clip_subdivision,
     euler_region_count,
+    generate_random,
     genus,
 )
 from linetopo.geometry import point_on_line
@@ -57,3 +58,10 @@ def test_counts_for_triangle_fixture(generic_planar3):
     # 10 boundary arcs + 3 interior sub-segments per line
     assert sub.edge_count == 10 + 9
     assert sub.face_count == 7
+
+
+def test_region_count_makes_one_intersection_pass(intersection_calls):
+    # clipping_box and clip_subdivision both read the multiple points
+    a = generate_random(2, 7, "mixed", 7)
+    assert euler_region_count(a) == 1 + genus(a)
+    assert len(intersection_calls) == 7 * 6 // 2
