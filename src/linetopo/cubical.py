@@ -46,7 +46,7 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .errors import GridTooLarge, InvariantViolation, ResolutionTooCoarse
-from .geometry import Line, Point, dot, sub
+from .geometry import Line, Point, dot, integer_form, sub
 
 BettiVector = tuple[int, ...]
 
@@ -106,28 +106,16 @@ def _bounding_cube(a: Arrangement):
     return box_lo, total
 
 
-def _point_line_dist_sq(p: Point, line: Line) -> Fraction:
-    w = sub(p, line.base)
-    dd = dot(line.direction, line.direction)
-    return dot(w, w) - dot(w, line.direction) ** 2 / dd
-
-
-def _line_line_dist_sq(a: Line, b: Line) -> Fraction:
-    """Squared distance between two non-intersecting lines."""
-    if a.direction == b.direction:
-        return _point_line_dist_sq(a.base, b)
-    w = sub(b.base, a.base)
-    d11 = dot(a.direction, a.direction)
-    d22 = dot(b.direction, b.direction)
-    d12 = dot(a.direction, b.direction)
-    det = d11 * d22 - d12 * d12  # > 0 for non-parallel directions
-    t = (dot(w, a.direction) * d22 - d12 * dot(w, b.direction)) / det
-    s = (d12 * dot(w, a.direction) - d11 * dot(w, b.direction)) / det
-    diff = tuple(
-        wc + s * bc - t * ac
-        for wc, ac, bc in zip(w, a.direction, b.direction)
-    )
-    return dot(diff, diff)
+def _gram(*vectors):
+    """Gram determinant det(v_i . v_j) of at most three vectors, 1 for none:
+    the squared volume of the parallelotope they span."""
+    g = [[dot(x, y) for y in vectors] for x in vectors]
+    if len(g) < 2:
+        return g[0][0] if g else 1
+    if len(g) == 2:
+        return g[0][0] * g[1][1] - g[0][1] ** 2
+    (a, b, c), (_, e, f), (_, _, i) = g  # symmetric
+    return a * (e * i - f * f) - b * (b * i - f * c) + c * (b * f - e * c)
 
 
 def _coarseness_guard(a: Arrangement, cube_side: Fraction, box_side: Fraction):
@@ -138,22 +126,25 @@ def _coarseness_guard(a: Arrangement, cube_side: Fraction, box_side: Fraction):
     be at least two cube diameters apart, and the wedge between any two lines
     through a multiple point must reach two cube diameters of width within
     the guaranteed run to the box boundary (a third of the box side), since a
-    thinner wedge region never certifies a free cube.
+    thinner wedge region never certifies a free cube.  The squared distance
+    from w to the span of some directions is _gram(w, *dirs) / _gram(*dirs)
+    and the sin^2 of a wedge _gram(di, dj) / (_gram(di) _gram(dj)); each
+    check compares them cross-multiplied, so nothing is divided.
     """
     n = a.dimension
     mps = a.multiple_points
     threshold = 4 * n * cube_side**2  # (2 * cube diameter)^2
     for i in range(len(mps)):
         for j in range(i + 1, len(mps)):
-            diff = sub(mps[i].location, mps[j].location)
-            if dot(diff, diff) < threshold:
+            if _gram(sub(mps[i].location, mps[j].location)) < threshold:
                 raise ResolutionTooCoarse(
                     f"multiple points {i} and {j} are closer than two cube diameters"
                 )
         for li, line in enumerate(a.lines):
             if li in mps[i].incident:
                 continue
-            if _point_line_dist_sq(mps[i].location, line) < threshold:
+            u = line.direction
+            if _gram(sub(mps[i].location, line.base), u) < threshold * _gram(u):
                 raise ResolutionTooCoarse(
                     f"multiple point {i} and line {li} are closer than two cube diameters"
                 )
@@ -164,7 +155,10 @@ def _coarseness_guard(a: Arrangement, cube_side: Fraction, box_side: Fraction):
         for j in range(i + 1, a.d):
             if (i, j) in meeting:
                 continue
-            if _line_line_dist_sq(a.lines[i], a.lines[j]) < threshold:
+            u, v = a.lines[i].direction, a.lines[j].direction
+            dirs = (u,) if u == v else (u, v)
+            w = sub(a.lines[j].base, a.lines[i].base)
+            if _gram(w, *dirs) < threshold * _gram(*dirs):
                 raise ResolutionTooCoarse(
                     f"disjoint lines {i} and {j} are closer than two cube diameters"
                 )
@@ -175,8 +169,7 @@ def _coarseness_guard(a: Arrangement, cube_side: Fraction, box_side: Fraction):
                 if i >= j:
                     continue
                 di, dj = a.lines[i].direction, a.lines[j].direction
-                sin_sq = 1 - Fraction(dot(di, dj) ** 2, dot(di, di) * dot(dj, dj))
-                if sin_sq * run**2 < threshold:
+                if _gram(di, dj) * run**2 < threshold * _gram(di) * _gram(dj):
                     raise ResolutionTooCoarse(
                         f"lines {i} and {j} cross at multiple point {k} too shallowly "
                         f"for the wedge to reach two cube diameters inside the box"
@@ -206,9 +199,7 @@ def _mark_line(hit: np.ndarray, line: Line, box_lo, side: Fraction, m: int):
     """
     n = line.dimension
     units = [(b - lo) / side for b, lo in zip(line.base, box_lo)]
-    units += [Fraction(v) / side for v in line.direction]
-    den = lcm(*(x.denominator for x in units))
-    ints = [x.numerator * (den // x.denominator) for x in units]
+    ints, den = integer_form(units + [v / side for v in line.direction])
     p, w = ints[:n], ints[n:]
     scale = lcm(*(abs(x) for x in w if x))
     crossings, spans = [], []
@@ -260,19 +251,6 @@ def _certified(free: np.ndarray) -> np.ndarray:
     return owned[labels]
 
 
-def _closure_cells(occ: np.ndarray) -> np.ndarray:
-    """Doubled grid of the closure of a set of top cubes (``occ`` has shape
-    m^n): every cube together with all its faces, which are the slots within
-    one step of it in every coordinate.  Builds handcrafted complexes in
-    tests; rasterization instead keeps every line-free cell."""
-    from scipy import ndimage
-
-    n = occ.ndim
-    grid = np.zeros(tuple(2 * s + 1 for s in occ.shape), dtype=bool)
-    grid[_slab((1 << n) - 1, n)] = occ
-    return ndimage.binary_dilation(grid, np.ones((3,) * n, dtype=bool))
-
-
 def rasterize_complement(a: Arrangement, m: int) -> CubicalComplex:
     """Rasterize the box-clipped complement at resolution m.
 
@@ -287,10 +265,12 @@ def rasterize_complement(a: Arrangement, m: int) -> CubicalComplex:
     n = a.dimension
     if m < 2:
         raise ResolutionTooCoarse(f"resolution must be at least 2, got {m}")
-    if (2 * m + 1) ** n > _MAX_SLOTS:
+    # exact without forming a huge power: 2m+1 >= 2, so (2m+1)^b > _MAX_SLOTS
+    # already for b the bit length of _MAX_SLOTS
+    if (2 * m + 1) ** min(n, _MAX_SLOTS.bit_length()) > _MAX_SLOTS:
         raise GridTooLarge(
             f"a grid of {m} cubes per axis in dimension {n} needs (2m+1)^n = "
-            f"{(2 * m + 1) ** n} slots, more than the budget of {_MAX_SLOTS}"
+            f"{2 * m + 1}^{n} slots, more than the budget of {_MAX_SLOTS}"
         )
     box_lo, total = _bounding_cube(a)
     cube_side = total / m
@@ -364,30 +344,3 @@ def betti_numbers(c: CubicalComplex) -> BettiVector:
     h = [len(by_dim[j]) - ranks[j] - ranks[j + 1] for j in range(n)]
     return (1 + h[n - 1], *h[n - 2::-1], 0)
 
-
-def _betti_direct(c: CubicalComplex) -> BettiVector:
-    """Betti numbers from full boundary-matrix ranks of the complex itself.
-
-    The facets of a k-cell at flat index p are p +- stride_a along its odd
-    axes a.  Quadratic in the cell count: the oracle the tests hold
-    ``betti_numbers`` to on small complexes.
-
-    Raises:
-        InvariantViolation: some facet of a cell is missing from the complex.
-    """
-    n = c.dimension
-    cells = c.cells
-    flat = c.grid.ravel()
-    strides = c.grid.shape[0] ** np.arange(n - 1, -1, -1)  # C order, in slots
-    ranks = [0] * (n + 2)
-    for k in range(1, n + 1):
-        odd = np.stack(np.unravel_index(cells[k], c.grid.shape), axis=1) & 1
-        step = strides[np.nonzero(odd)[1].reshape(len(cells[k]), k)]
-        facets = np.concatenate([cells[k][:, None] - step, cells[k][:, None] + step], axis=1)
-        if not flat[facets].all():
-            raise InvariantViolation(f"a {k}-cell has a facet outside the complex")
-        rows = np.searchsorted(cells[k - 1], facets)
-        ranks[k] = gf2_rank(sum(1 << int(r) for r in row) for row in rows)
-    return tuple(
-        len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(n + 1)
-    )

@@ -1,16 +1,20 @@
 """Exact rational primitives: points, canonical lines, incidence and intersection.
 
-Everything here is computed over the rationals with arbitrary precision
-(`fractions.Fraction`); there is no tolerance anywhere.  Multiplicity data
-changes the topology of a complement, so near-miss intersections must never
-be merged and exact coincidences must never be split.
+Incidence, parallelism and intersection are decided as identities between
+integers: ``integer_form``, the one place that clears denominators, writes
+a rational vector as integer numerators over one positive denominator.
+``Fraction`` is built only for the rationals returned: points, canonical
+bases and line parameters.  There is no tolerance anywhere.  Multiplicity
+data changes the topology of a complement, so near-miss intersections must
+never be merged and exact coincidences must never be split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, InvariantViolation, ZeroDirection
 
@@ -23,17 +27,21 @@ def as_point(coords) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
-def dot(a, b) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+def integer_form(v) -> tuple[tuple[int, ...], int]:
+    """(X, D): integer numerators X over D > 0, the lcm of the entries'
+    denominators, so that v = X / D.  Entries may be anything ``Fraction()``
+    accepts."""
+    v = as_point(v)
+    den = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
 
 
-def sub(a, b) -> Point:
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
-def add_scaled(p, t, u) -> Point:
-    """p + t*u, exactly."""
-    return tuple(Fraction(x) + Fraction(t) * Fraction(y) for x, y in zip(p, u))
+def sub(a, b) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def primitive_direction(u) -> tuple[int, ...]:
@@ -43,23 +51,13 @@ def primitive_direction(u) -> tuple[int, ...]:
     first nonzero entry is positive.  Parallel vectors therefore normalize to
     the identical tuple.
     """
-    u = [Fraction(x) for x in u]
-    if all(x == 0 for x in u):
+    ints, _ = integer_form(u)
+    g = gcd(*ints)
+    if g == 0:
         raise ZeroDirection("direction vector is zero")
-    denom_lcm = 1
-    for x in u:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in u]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,16 @@ class Line:
     def dimension(self) -> int:
         return len(self.base)
 
+    @cached_property
+    def integer_base(self) -> tuple[tuple[int, ...], int]:
+        """``integer_form(base)``, cached: the line is frozen, and equality
+        and hashing see only the fields."""
+        return integer_form(self.base)
+
     def point_at(self, t) -> Point:
-        return add_scaled(self.base, t, self.direction)
+        """base + t*direction, exactly."""
+        t = Fraction(t)
+        return tuple(b + t * u for b, u in zip(self.base, self.direction))
 
     def param_of(self, x: Point) -> Fraction:
         """Parameter t with base + t*direction == x; x must lie on the line."""
@@ -117,38 +123,37 @@ def intersect_lines(a: Line, b: Line):
     Returns the intersection Point if the lines meet in exactly one point,
     ``COINCIDENT`` if they are equal, and ``None`` if they are parallel
     distinct or skew.
+
+    With the bases as A / Da and B / Db, base_a + t*u = base_b + s*v reads
+    T u - S v = det r, where r = B Da - A Db, det is the first nonzero 2x2
+    minor of the directions, T = t det Da Db and S = s det Da Db.  Cramer's
+    rule on the minor's two rows gives the integers T and S, and the pair is
+    skew unless every row holds.
     """
     if a.dimension != b.dimension:
         raise DimensionMismatch(
             f"lines live in dimensions {a.dimension} and {b.dimension}"
         )
-    if a == b:
-        return COINCIDENT
-    if a.direction == b.direction:
-        return None  # parallel distinct; canonical directions coincide exactly
-    # Solve base_a + t*dir_a = base_b + s*dir_b from two independent rows,
-    # then verify the remaining rows to rule out skew pairs.
+    u, v = a.direction, b.direction
+    if u == v:  # canonical directions of parallel lines coincide exactly
+        return COINCIDENT if a.integer_base == b.integer_base else None
+    (A, Da), (B, Db) = a.integer_base, b.integer_base
+    r = [bk * Da - ak * Db for ak, bk in zip(A, B)]
     n = a.dimension
-    ad, bd = a.direction, b.direction
-    rhs = sub(b.base, a.base)
-    pivot = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = Fraction(-ad[i] * bd[j] + ad[j] * bd[i])
-            if det != 0:
-                pivot = (i, j, det)
-                break
-        if pivot:
-            break
+    pivot = next(
+        ((i, j) for i in range(n) for j in range(i + 1, n) if u[j] * v[i] != u[i] * v[j]),
+        None,
+    )
     if pivot is None:
         raise InvariantViolation("non-parallel directions with no nonzero 2x2 minor")
-    i, j, det = pivot
-    t = (rhs[i] * Fraction(-bd[j]) - Fraction(-bd[i]) * rhs[j]) / det
-    s = (Fraction(ad[i]) * rhs[j] - rhs[i] * Fraction(ad[j])) / det
-    for k in range(n):
-        if t * ad[k] - s * bd[k] != rhs[k]:
-            return None  # consistent in the pivot rows only: skew
-    return a.point_at(t)
+    i, j = pivot
+    det = u[j] * v[i] - u[i] * v[j]
+    T = r[j] * v[i] - r[i] * v[j]
+    S = u[i] * r[j] - u[j] * r[i]
+    if any(T * uk - S * vk != rk * det for uk, vk, rk in zip(u, v, r)):
+        return None  # consistent in the pivot rows only: skew
+    den = det * Da * Db
+    return tuple(Fraction(ak * det * Db + T * uk, den) for ak, uk in zip(A, u))
 
 
 def line_box_params(line: Line, lo, hi):
@@ -180,16 +185,15 @@ def line_box_params(line: Line, lo, hi):
 
 
 def point_on_line(x, line: Line) -> bool:
-    """True iff x - base is an exact rational multiple of the direction."""
-    x = as_point(x)
-    if len(x) != line.dimension:
+    """True iff x - base is an exact rational multiple of the direction: with
+    x = X / D and base = B / Db, every 2x2 minor of w = X Db - B D against
+    the first nonzero direction entry vanishes."""
+    X, D = integer_form(x)
+    if len(X) != line.dimension:
         raise DimensionMismatch(
-            f"point has dimension {len(x)}, line has dimension {line.dimension}"
+            f"point has dimension {len(X)}, line has dimension {line.dimension}"
         )
-    diff = sub(x, line.base)
-    t = None
-    for k, d in enumerate(line.direction):
-        if d != 0:
-            t = diff[k] / d
-            break
-    return all(diff[k] == t * line.direction[k] for k in range(len(diff)))
+    B, Db = line.integer_base
+    w = [xk * Db - bk * D for xk, bk in zip(X, B)]
+    p = next(k for k, uk in enumerate(line.direction) if uk)
+    return all(wk * line.direction[p] == w[p] * uk for wk, uk in zip(w, line.direction))

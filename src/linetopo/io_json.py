@@ -36,8 +36,27 @@ def parse_rational(text, path: str = "") -> Fraction:
     return Fraction(num, den)
 
 
+def _decimal(k: int) -> str:
+    """Decimal digits of k at any length.  ``str()`` refuses integers over
+    Python's str<->int digit limit, so a longer one is split at a power of
+    ten into halves that are rendered apart."""
+    try:
+        return str(k)
+    except ValueError:
+        pass
+    if k < 0:
+        return "-" + _decimal(-k)
+    half = (k.bit_length() - 1) * 3 // 20  # at most half the digit count
+    high, low = divmod(k, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def format_rational(x) -> str:
-    return str(Fraction(x))
+    """"p" or "p/q" in lowest terms with q > 0, exact at any length."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def format_point(p) -> list[str]:
@@ -98,7 +117,7 @@ def arrangement_to_json(a: Arrangement, name: str | None = None, **metadata) -> 
     doc["lines"] = [
         {
             "point": format_point(line.base),
-            "direction": [str(c) for c in line.direction],
+            "direction": format_point(line.direction),
         }
         for line in a.lines
     ]

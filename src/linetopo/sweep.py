@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .arrangement import Arrangement
 from .errors import DimensionMismatch, NonGenericDirection, ZeroDirection
-from .geometry import Line, Point, as_point, canonicalize_line, point_on_line, sub
+from .geometry import Line, Point, as_point, canonicalize_line, integer_form, point_on_line, sub
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,7 @@ class SpaceGraph:
     def integer_vertices(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Each vertex u as (X_u, D_u): integer numerators over D_u > 0, the
         lcm of its coordinate denominators, so that u = X_u / D_u."""
-        out = []
-        for u in self.vertices:
-            den = lcm(*(c.denominator for c in u))
-            out.append((tuple(c.numerator * (den // c.denominator) for c in u), den))
-        return tuple(out)
+        return tuple(integer_form(u) for u in self.vertices)
 
 
 @dataclass(frozen=True)
@@ -173,15 +169,14 @@ def _integer_direction(x: SpaceGraph, v) -> tuple[tuple[int, ...], int]:
 
     Scaling by a positive number changes neither genericity nor any sign.
     """
-    v = as_point(v)
-    if len(v) != x.dimension:
+    w, c = integer_form(v)
+    if len(w) != x.dimension:
         raise DimensionMismatch(
-            f"direction has dimension {len(v)}, graph has {x.dimension}"
+            f"direction has dimension {len(w)}, graph has {x.dimension}"
         )
-    if all(c == 0 for c in v):
+    if not any(w):
         raise ZeroDirection("sweep direction is zero")
-    c = lcm(*(q.denominator for q in v))
-    return tuple(q.numerator * (c // q.denominator) for q in v), c
+    return w, c
 
 
 def _heights(x: SpaceGraph, w: tuple[int, ...]) -> list[int]:

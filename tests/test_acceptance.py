@@ -153,6 +153,17 @@ def test_sweep_certification_cost_planar_d40(tmp_path):
     assert elapsed < 10.0, f"planar d=40 analyze took {elapsed:.2f}s, budget 10s"
 
 
+def test_intersection_pass_cost_n3_d300(tmp_path):
+    # 44850 line pairs, each decided in integers
+    a = generate_random(3, 300, "mixed", 1)
+    t0 = time.perf_counter()
+    code, doc = _analyze(tmp_path, a)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert doc["self_check"]["agree"] is True
+    assert elapsed < 5.0, f"n=3 d=300 analyze took {elapsed:.2f}s, budget 5s"
+
+
 def test_criterion_4_poset_recovery():
     with criterion(4, "poset recovery on the same corpus"):
         for corpus in CORPUS_3.values():

@@ -78,6 +78,17 @@ def test_grid_over_budget_is_an_input_error(capsys, tmp_path):
     assert err.strip()
 
 
+@pytest.mark.parametrize("argv", [["verify", "--grid", "2"], ["analyze", "--grid", "2"]])
+def test_grid_over_budget_in_a_huge_dimension_is_an_input_error(capsys, tmp_path, argv):
+    # (2m+1)^n has more digits here than Python renders; it is never formed
+    text = json.dumps({"dimension": 7000, "lines": []})
+    code, out, _ = run(capsys, argv, text, tmp_path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "GridTooLarge"
+    assert "(2m+1)^n = 5^7000 slots" in error["message"]
+
+
 def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "input.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -224,3 +235,36 @@ def test_each_call_makes_one_intersection_pass(capsys, tmp_path, intersection_ca
     code, _, _ = run(capsys, argv, MIXED3, tmp_path)
     assert code == 0
     assert len(intersection_calls) == 5 * 4 // 2
+
+
+# three planar lines whose crossings have more digits than Python's
+# str<->int limit lets str() render, though every input integer is under it
+_SEVENS = "7" * 3000
+LONG_CROSSINGS2 = json.dumps({"dimension": 2, "lines": [
+    {"point": ["0", "0"], "direction": ["1", _SEVENS]},
+    {"point": ["1", "0"], "direction": [_SEVENS, "3"]},
+    {"point": ["0", "5"], "direction": ["2", "-" + _SEVENS]},
+]})
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_rationals_over_the_digit_limit_render_exactly(capsys, tmp_path, command):
+    import sys
+
+    from linetopo import parse_arrangement
+
+    code, out, _ = run(capsys, [command], LONG_CROSSINGS2, tmp_path)
+    assert code == 0
+    doc = json.loads(out)
+    if command == "analyze":
+        assert doc["self_check"]["agree"] is True
+    plan = doc["sweep"]["plan"] if command == "analyze" else doc["plan"]
+    points = [ev["point"] for ev in plan["events"]]
+    assert max(len(c) for p in points for c in p) > 4300
+    expected = [mp.location for mp in parse_arrangement(LONG_CROSSINGS2).multiple_points]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert sorted(points) == sorted([str(c) for c in p] for p in expected)
+    finally:
+        sys.set_int_max_str_digits(limit)

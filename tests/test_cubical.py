@@ -18,15 +18,134 @@ from linetopo import (
 )
 from linetopo.cubical import (
     CubicalComplex,
-    _betti_direct,
-    _closure_cells,
+    _bounding_cube,
+    _coarseness_guard,
+    _gram,
     _mark_line,
     _slab,
     _slot,
     _star,
 )
-from linetopo.geometry import line_box_params
+from linetopo.geometry import canonicalize_line, intersect_lines, line_box_params
 from conftest import seeded_corpus
+
+
+def _closure_cells(occ: np.ndarray) -> np.ndarray:
+    """Doubled grid of the closure of a set of top cubes (``occ`` has shape
+    m^n): every cube together with all its faces, which are the slots within
+    one step of it in every coordinate.  Builds handcrafted complexes;
+    rasterization instead keeps every line-free cell."""
+    from scipy import ndimage
+
+    n = occ.ndim
+    grid = np.zeros(tuple(2 * s + 1 for s in occ.shape), dtype=bool)
+    grid[_slab((1 << n) - 1, n)] = occ
+    return ndimage.binary_dilation(grid, np.ones((3,) * n, dtype=bool))
+
+
+def _betti_direct(c: CubicalComplex) -> tuple[int, ...]:
+    """Betti numbers from full boundary-matrix ranks of the complex itself.
+
+    The facets of a k-cell at flat index p are p +- stride_a along its odd
+    axes a.  Quadratic in the cell count: the oracle ``betti_numbers`` is
+    held to on small complexes.
+
+    Raises:
+        InvariantViolation: some facet of a cell is missing from the complex.
+    """
+    n = c.dimension
+    cells = c.cells
+    flat = c.grid.ravel()
+    strides = c.grid.shape[0] ** np.arange(n - 1, -1, -1)  # C order, in slots
+    ranks = [0] * (n + 2)
+    for k in range(1, n + 1):
+        odd = np.stack(np.unravel_index(cells[k], c.grid.shape), axis=1) & 1
+        step = strides[np.nonzero(odd)[1].reshape(len(cells[k]), k)]
+        facets = np.concatenate([cells[k][:, None] - step, cells[k][:, None] + step], axis=1)
+        if not flat[facets].all():
+            raise InvariantViolation(f"a {k}-cell has a facet outside the complex")
+        rows = np.searchsorted(cells[k - 1], facets)
+        ranks[k] = gf2_rank(sum(1 << int(r) for r in row) for row in rows)
+    return tuple(
+        len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(n + 1)
+    )
+
+
+# Reference distances: the Fraction routines the coarseness guard used before
+# it compared Gram determinants.
+
+
+def _fdot(a, b) -> Fraction:
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
+def _fsub(a, b):
+    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
+
+
+def _point_line_dist_sq(p, line) -> Fraction:
+    w = _fsub(p, line.base)
+    dd = _fdot(line.direction, line.direction)
+    return _fdot(w, w) - _fdot(w, line.direction) ** 2 / dd
+
+
+def _line_line_dist_sq(a, b) -> Fraction:
+    """Squared distance between two non-intersecting lines."""
+    if a.direction == b.direction:
+        return _point_line_dist_sq(a.base, b)
+    w = _fsub(b.base, a.base)
+    d11 = _fdot(a.direction, a.direction)
+    d22 = _fdot(b.direction, b.direction)
+    d12 = _fdot(a.direction, b.direction)
+    det = d11 * d22 - d12 * d12  # > 0 for non-parallel directions
+    t = (_fdot(w, a.direction) * d22 - d12 * _fdot(w, b.direction)) / det
+    s = (d12 * _fdot(w, a.direction) - d11 * _fdot(w, b.direction)) / det
+    diff = tuple(
+        wc + s * bc - t * ac
+        for wc, ac, bc in zip(w, a.direction, b.direction)
+    )
+    return _fdot(diff, diff)
+
+
+def _sin_sq(u, v) -> Fraction:
+    return 1 - Fraction(_fdot(u, v) ** 2, _fdot(u, u) * _fdot(v, v))
+
+
+def _guard_oracle(a, cube_side, box_side):
+    """The guard's verdict from the reference distances: None, or the message
+    ``_coarseness_guard`` raises."""
+    n = a.dimension
+    mps = a.multiple_points
+    threshold = 4 * n * cube_side**2
+    for i in range(len(mps)):
+        for j in range(i + 1, len(mps)):
+            w = _fsub(mps[i].location, mps[j].location)
+            if _fdot(w, w) < threshold:
+                return f"multiple points {i} and {j} are closer than two cube diameters"
+        for li, line in enumerate(a.lines):
+            if li not in mps[i].incident:
+                if _point_line_dist_sq(mps[i].location, line) < threshold:
+                    return (
+                        f"multiple point {i} and line {li} are closer than two cube diameters"
+                    )
+    meeting = {(i, j) for mp in mps for i in mp.incident for j in mp.incident if i < j}
+    for i in range(a.d):
+        for j in range(i + 1, a.d):
+            if (i, j) not in meeting:
+                if _line_line_dist_sq(a.lines[i], a.lines[j]) < threshold:
+                    return f"disjoint lines {i} and {j} are closer than two cube diameters"
+    run = box_side / 3
+    for k, mp in enumerate(mps):
+        for i in mp.incident:
+            for j in mp.incident:
+                if i < j:
+                    di, dj = a.lines[i].direction, a.lines[j].direction
+                    if _sin_sq(di, dj) * run**2 < threshold:
+                        return (
+                            f"lines {i} and {j} cross at multiple point {k} too shallowly "
+                            f"for the wedge to reach two cube diameters inside the box"
+                        )
+    return None
 
 
 def test_gf2_rank_known_matrices():
@@ -208,6 +327,10 @@ def test_dimension_gate():
         rasterize_complement(a4, 100)
     with pytest.raises(GridTooLarge):
         rasterize_complement(build_arrangement(12, [((0,) * 12, (1,) + (0,) * 11)]), 2)
+    # a huge dimension is refused without forming (2m+1)^n, whose thousands
+    # of digits Python would not even render
+    with pytest.raises(GridTooLarge, match=r"\(2m\+1\)\^n = 5\^7000 slots"):
+        rasterize_complement(build_arrangement(7000, []), 2)
 
 
 def test_resolution_stability_small():
@@ -254,3 +377,67 @@ def test_verify_arrangement_matches_in_both_dims(crossing_pair3):
     rep4 = verify_arrangement(build_arrangement(4, [((0, 0, 0, 0), (1, 0, 0, 0))]), 8)
     assert rep4.match
     assert rep4.measured == (1, 0, 1, 0, 0)
+
+
+def test_guard_verdicts_match_the_reference_distances():
+    fired = set()
+    for n, max_d in ((2, 10), (3, 8), (4, 6)):
+        origin, pad = (0,) * n, (0,) * (n - 2)
+        # two lines at a shallow angle leave only the wedge check to fire; at
+        # n = 2, k = 1 and m = 12 its two sides are equal.  Then two parallel
+        # lines at distance 1.
+        extras = [
+            build_arrangement(n, [(origin, (1, 0) + pad), (origin, (k, 1) + pad)])
+            for k in (1, 3, 10, 40)
+        ]
+        extras.append(build_arrangement(n, [(origin, (1, 0) + pad), ((0, 1) + pad, (1, 0) + pad)]))
+        for a in seeded_corpus(n, 30, max_d, seed0=600 + n) + extras:
+            box_lo, total = _bounding_cube(a)
+            for m in (4, 12, 16, 64, 256, 1024, 4096):
+                try:
+                    _coarseness_guard(a, total / m, total)
+                    verdict = None
+                except ResolutionTooCoarse as exc:
+                    verdict = str(exc)
+                assert verdict == _guard_oracle(a, total / m, total)
+                checks = ("shallowly", "multiple points", "multiple point", "disjoint")
+                fired.add(verdict and next(c for c in checks if c in verdict))
+    assert fired == {None, "multiple points", "multiple point", "disjoint", "shallowly"}
+
+
+_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def _guard_cases(draw):
+    """A point and two distinct lines in R^n, n = 2-5, drawn at random or
+    as a parallel pair."""
+    n = draw(st.integers(2, 5))
+    vectors = st.lists(_rationals, min_size=n, max_size=n)
+    directions = vectors.filter(any)
+    a = canonicalize_line(draw(vectors), draw(directions))
+    if draw(st.booleans()):
+        b = canonicalize_line(draw(vectors), a.direction)
+    else:
+        b = canonicalize_line(draw(vectors), draw(directions))
+    return tuple(draw(vectors)), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_guard_cases())
+def test_gram_comparisons_match_reference_distances(case):
+    p, a, b = case
+    u, v = a.direction, b.direction
+    dirs = (u,) if u == v else (u, v)
+    w = _fsub(b.base, a.base)
+    exact = [
+        (_fdot(_fsub(p, a.base), _fsub(p, a.base)), _gram(_fsub(p, a.base)), 1),
+        (_point_line_dist_sq(p, a), _gram(_fsub(p, a.base), u), _gram(u)),
+        (_sin_sq(u, v), _gram(u, v), _gram(u) * _gram(v)),
+    ]
+    if a != b and intersect_lines(a, b) is None:
+        exact.append((_line_line_dist_sq(a, b), _gram(w, *dirs), _gram(*dirs)))
+    eps = Fraction(1, 10**9)
+    for value, num, den in exact:
+        for threshold in (value - eps, value, value + eps):
+            assert (num < threshold * den) == (value < threshold)

@@ -1,17 +1,76 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linetopo import (
     COINCIDENT,
     DimensionMismatch,
+    InvariantViolation,
     ZeroDirection,
     canonicalize_line,
     intersect_lines,
     point_on_line,
 )
 from linetopo.generate import SplitMix64
-from linetopo.geometry import line_box_params
+from linetopo.geometry import integer_form, line_box_params
+
+
+# Reference implementations: the Fraction arithmetic intersect_lines and
+# point_on_line used before they tested integer identities.
+
+
+def _fsub(a, b):
+    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
+
+
+def _intersect_oracle(a, b):
+    if a.dimension != b.dimension:
+        raise DimensionMismatch("dimensions differ")
+    if a == b:
+        return COINCIDENT
+    if a.direction == b.direction:
+        return None
+    n = a.dimension
+    ad, bd = a.direction, b.direction
+    rhs = _fsub(b.base, a.base)
+    pivot = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            det = Fraction(-ad[i] * bd[j] + ad[j] * bd[i])
+            if det != 0:
+                pivot = (i, j, det)
+                break
+        if pivot:
+            break
+    if pivot is None:
+        raise InvariantViolation("non-parallel directions with no nonzero 2x2 minor")
+    i, j, det = pivot
+    t = (rhs[i] * Fraction(-bd[j]) - Fraction(-bd[i]) * rhs[j]) / det
+    s = (Fraction(ad[i]) * rhs[j] - rhs[i] * Fraction(ad[j])) / det
+    for k in range(n):
+        if t * ad[k] - s * bd[k] != rhs[k]:
+            return None
+    return tuple(Fraction(x) + t * y for x, y in zip(a.base, ad))
+
+
+def _point_on_line_oracle(x, line):
+    diff = _fsub(x, line.base)
+    t = None
+    for k, d in enumerate(line.direction):
+        if d != 0:
+            t = diff[k] / d
+            break
+    return all(diff[k] == t * line.direction[k] for k in range(len(diff)))
+
+
+def test_integer_form_clears_denominators():
+    assert integer_form((3, -4, 0)) == ((3, -4, 0), 1)
+    assert integer_form((Fraction(1, 2), Fraction(-2, 3), 5)) == ((3, -4, 30), 6)
+    assert integer_form(("1/4", "-3", "5/6")) == ((3, -36, 10), 12)
+    assert integer_form((Fraction(-7, 9),)) == ((-7,), 9)
+    assert integer_form((0, Fraction(0), "0/5")) == ((0, 0, 0), 1)
+    assert integer_form(()) == ((), 1)
 
 
 def test_canonicalize_projects_base_and_normalizes_direction():
@@ -126,3 +185,47 @@ def test_line_box_params_clips_exactly():
     diag = canonicalize_line((4, 0), (1, -1))
     span = line_box_params(diag, (-1, -1), (2, 2))
     assert span is not None and span[0] == span[1]
+
+
+_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def _line_pairs(draw):
+    """Two lines in R^n, n = 2-5, and a point of interest, in one of four
+    draw modes: lines meeting at a rational point, a parallel near-miss
+    shifted by 1/10^j, a re-expressed copy of one line, or a random pair."""
+    n = draw(st.integers(2, 5))
+    vectors = st.lists(_rationals, min_size=n, max_size=n)
+    directions = vectors.filter(any)
+    p, u = draw(vectors), draw(directions)
+    mode = draw(st.sampled_from(["meet", "near_parallel", "copy", "random"]))
+    if mode == "meet":
+        q, v = draw(vectors), draw(directions)
+        t = draw(_rationals)
+        x = [pc + t * uc for pc, uc in zip(p, u)]
+        return canonicalize_line(p, u), canonicalize_line(q, _fsub(x, q) if q != x else v), x
+    if mode == "near_parallel":
+        shifted = list(p)
+        shifted[draw(st.integers(0, n - 1))] += Fraction(1, 10 ** draw(st.integers(0, 30)))
+        return canonicalize_line(p, u), canonicalize_line(shifted, u), shifted
+    if mode == "copy":
+        t, c = draw(_rationals), draw(_rationals.filter(bool))
+        x = [pc + t * uc for pc, uc in zip(p, u)]
+        return canonicalize_line(p, u), canonicalize_line(x, [c * uc for uc in u]), x
+    return canonicalize_line(p, u), canonicalize_line(draw(vectors), draw(directions)), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_line_pairs())
+def test_integer_kernel_matches_the_fraction_oracle(case):
+    a, b, x = case
+    for first, second in ((a, b), (b, a)):
+        assert intersect_lines(first, second) == _intersect_oracle(first, second)
+    points = [x, a.base, b.base]
+    meet = intersect_lines(a, b)
+    if meet is not None and meet is not COINCIDENT:
+        points.append(meet)
+    for point in points:
+        for line in (a, b):
+            assert point_on_line(point, line) == _point_on_line_oracle(point, line)

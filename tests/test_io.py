@@ -108,6 +108,21 @@ def test_rational_formatting_roundtrip():
         parse_rational("1e3")
 
 
+def test_format_rational_beyond_the_digit_limit():
+    import sys
+    from fractions import Fraction
+
+    big = Fraction(10**5000 + 7, 3)
+    values = [big, -big, Fraction(10**6000), Fraction(10**6000 + 1), Fraction(-(10**9000) - 1)]
+    rendered = [format_rational(x) for x in values]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert rendered == [str(x) for x in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("n,seed0", [(2, 7000), (3, 7100), (4, 7200)])
 def test_serialize_parse_roundtrip(n, seed0):
     for a in seeded_corpus(n, 8, 6, seed0=seed0):
