@@ -20,8 +20,9 @@ and unlinked, so the clipped complement shares the Betti data of the full
 complement (a tested hypothesis; every acceptance fixture exercises it).
 
 The facets of a cell are its neighbours p +- e_a along its odd axes, so face
-incidence is exactly 6-connectivity of the doubled grid, and component
-labelling finds the slivers the grid cannot certify.
+incidence is exactly 6-connectivity of the doubled grid.  Slivers the grid
+cannot certify are the cells that no chain of such steps through the complex
+joins to a free cube.
 
 The homology is read off the complement U of the complex rather than the
 complex itself: U hugs the lines, O(d m) cells against O(m^n).  Since the
@@ -231,6 +232,18 @@ def _star(hit: np.ndarray) -> np.ndarray:
     return star
 
 
+def _closure(cells: np.ndarray) -> np.ndarray:
+    """The marked slots with all their faces.  A face of a cell keeps each
+    even coordinate and may move each odd one to an even neighbour, so one
+    pass per axis ORs every odd slot into its two even neighbours."""
+    closure = cells.copy()
+    for ax in range(closure.ndim):
+        view = np.moveaxis(closure, ax, 0)
+        view[:-1:2] |= view[1::2]
+        view[2::2] |= view[1::2]
+    return closure
+
+
 def _certified(free: np.ndarray) -> np.ndarray:
     """Drop components of the complex that contain no whole free cube.
 
@@ -238,17 +251,42 @@ def _certified(free: np.ndarray) -> np.ndarray:
     edges deep inside a stabbed tube) belongs to some neighbouring region of
     the true complement, but the grid cannot certify which one; keeping it
     would add spurious components.  Components owning at least one free
-    cube, an all-odd slot, are kept in full.  The default structuring element
-    of the labelling joins slots one step apart along one axis, which on the
-    doubled grid is exactly face incidence.
+    cube, an all-odd slot, are kept in full, and no labelling is needed to
+    find them.  The complex is closed under faces, so every face of a free
+    cube is in it and joined to that cube: the closure C of the free cubes is
+    kept.  Any other cell of the complex, an orphan, is a face of stabbed
+    cubes only, and it is kept iff a chain of orphans joins it to C by face
+    adjacency, one step along one axis of the doubled grid.  A walk from the
+    orphans next to C through the others finds them all, in time linear in
+    the grid plus the orphans.
     """
-    from scipy import ndimage
+    n = free.ndim
+    cubes = np.zeros_like(free)
+    top = _slab((1 << n) - 1, n)
+    cubes[top] = free[top]
+    kept = _closure(cubes)
+    flat = kept.reshape(-1)  # a view: writes land in kept
+    size = free.shape[0]
 
-    labels, count = ndimage.label(free)
-    owned = np.zeros(count + 1, dtype=bool)
-    owned[labels[_slab((1 << free.ndim) - 1, free.ndim)]] = True
-    owned[0] = False
-    return owned[labels]
+    def neighbours(s):
+        for stride in (size**ax for ax in range(n)):
+            q = s // stride % size
+            if q > 0:
+                yield s - stride
+            if q < size - 1:
+                yield s + stride
+
+    left = set(np.flatnonzero(free & ~kept).tolist())
+    stack = [s for s in left if any(flat[t] for t in neighbours(s))]
+    left.difference_update(stack)
+    while stack:
+        s = stack.pop()
+        flat[s] = True
+        for t in neighbours(s):
+            if t in left:
+                left.remove(t)
+                stack.append(t)
+    return kept
 
 
 def rasterize_complement(a: Arrangement, m: int) -> CubicalComplex:

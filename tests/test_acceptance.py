@@ -214,6 +214,19 @@ def test_homology_oracle_cost_at_grid_64():
     assert elapsed < 20.0, f"five fixtures at grid 64 took {elapsed:.1f}s, budget 20s"
 
 
+def test_sliver_certification_cost_on_a_long_wedge():
+    # slope 1/241 is the shallowest wedge the guard accepts at m = 2048; near
+    # the crossing it holds 964 orphan faces, up to 482 steps from the
+    # nearest face of a free cube, so a certification dilating the free cubes
+    # to a fixpoint would make about 500 full-grid passes
+    a = build_arrangement(2, [((0, 0), (1, 0)), ((0, 0), (241, 1))])
+    t0 = time.perf_counter()
+    rep = verify_arrangement(a, 2048)
+    elapsed = time.perf_counter() - t0
+    assert rep.match and rep.measured == (4, 0, 0)
+    assert elapsed < 3.0, f"the 1/241 wedge at grid 2048 took {elapsed:.2f}s, budget 3s"
+
+
 def test_homology_oracle_n4():
     # two lines crossing at the origin and a third skew to both; grid 12 is
     # the first the guard accepts

@@ -1,8 +1,18 @@
+import copy
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import linetopo
 
 from linetopo import CubicalComplex, build_arrangement, generate_random, serialize_arrangement
 from linetopo.cli import run_cli
@@ -249,8 +259,6 @@ LONG_CROSSINGS2 = json.dumps({"dimension": 2, "lines": [
 
 @pytest.mark.parametrize("command", ["analyze", "sweep"])
 def test_rationals_over_the_digit_limit_render_exactly(capsys, tmp_path, command):
-    import sys
-
     from linetopo import parse_arrangement
 
     code, out, _ = run(capsys, [command], LONG_CROSSINGS2, tmp_path)
@@ -268,3 +276,103 @@ def test_rationals_over_the_digit_limit_render_exactly(capsys, tmp_path, command
         assert sorted(points) == sorted([str(c) for c in p] for p in expected)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_verify_imports_no_scipy(tmp_path, coplanar3):
+    # numpy is the only runtime dependency
+    path = tmp_path / "coplanar.json"
+    path.write_text(serialize_arrangement(coplanar3), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from linetopo.cli import run_cli\n"
+        "code = run_cli(['verify', '--grid', '24', sys.argv[1]])\n"
+        "sys.exit('scipy was imported' if 'scipy' in sys.modules else code)\n"
+    )
+    src = str(Path(linetopo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verification"]["measured"] == [1, 6, 0, 0]
+
+
+_FUZZ_BASES = [
+    json.loads(PENCIL3),
+    json.loads(ONE_LINE3),
+    json.loads(serialize_arrangement(
+        build_arrangement(2, [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((5, 0), (1, -1))])
+    )),
+]
+
+_JUNK = st.one_of(
+    st.sampled_from([
+        "3", 2.0, 1.5, None, True, False, "1/0", "", "1/2/3", "x", "-0",
+        float("inf"), "1" * 5000, "-" + "9" * 5000,
+    ]),
+    st.integers(-3, 7),
+    st.lists(st.sampled_from(["1", 0, None]), max_size=3),
+    st.lists(st.lists(st.just("1"), max_size=2), max_size=2),
+    st.dictionaries(st.sampled_from(["point", "direction", "dimension", "lines"]),
+                    st.sampled_from([[], ["1", "0"], 0, "2"]), max_size=2),
+)
+
+
+def _slots(value, holder, key):
+    """Every (container, key) under ``holder[key]``, itself included."""
+    yield holder, key
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _slots(v, value, k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _slots(v, value, i)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """An arrangement document with one to three values replaced by junk,
+    deleted, or given an extra element."""
+    holder = [copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))]
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_slots(holder[0], holder, 0))))
+        action = draw(st.sampled_from(["replace", "delete", "append"]))
+        # a copy, so that a later mutation cannot edit the strategy's values
+        junk = copy.deepcopy(draw(_JUNK))
+        if action == "delete" and container is not holder:
+            del container[key]
+        elif action == "append" and isinstance(container[key], list):
+            container[key].append(junk)
+        else:
+            container[key] = junk
+    return json.dumps(holder[0])
+
+
+_FUZZ_COMMANDS = [
+    ["analyze"],
+    ["poset"],
+    ["poset", "--format", "dot"],
+    ["sweep"],
+    ["sweep", "--direction", "1,2"],
+    ["verify", "--grid", "8"],
+    ["analyze", "--grid", "6"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_documents())
+def test_mutated_documents_end_in_an_exit_code(tmp_path_factory, text):
+    # a malformed document may be refused, never crash the CLI
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in _FUZZ_COMMANDS:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = run_cli(argv + [str(path)])
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            error = json.loads(out.getvalue())["error"]
+            assert error["type"] and error["message"], argv
