@@ -17,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+
+import numpy as np
 
 from .errors import DimensionMismatch, DuplicateLine, InvariantViolation
 from .geometry import COINCIDENT, Line, Point, canonicalize_line, intersect_lines
@@ -93,24 +96,73 @@ def multiple_points(a: Arrangement) -> list[MultiplePoint]:
     """All points lying on >= 2 lines, with their full incident line sets.
 
     This is the uncached O(d^2) pass; ``Arrangement.multiple_points`` caches
-    its result per arrangement.  Pairwise exact intersections are grouped by
-    exact coordinate equality; any line through a grouped location is picked
-    up automatically because it meets each of the other incident lines there.
-    Output is sorted lexicographically by location.
+    its result per arrangement.  ``_unproven_pairs`` first drops the pairs
+    that residues prove skew; every other pair is intersected exactly.
+    Pairwise intersections are grouped by exact coordinate equality; any
+    line through a grouped location is picked up automatically because it
+    meets each of the other incident lines there.  Output is sorted
+    lexicographically by location.
     """
     clusters: dict[Point, set[int]] = {}
-    for i in range(len(a.lines)):
-        for j in range(i + 1, len(a.lines)):
-            x = intersect_lines(a.lines[i], a.lines[j])
-            if x is None:
-                continue
-            if x is COINCIDENT:
-                raise InvariantViolation(f"arrangement lines {i} and {j} coincide")
-            clusters.setdefault(x, set()).update((i, j))
+    for i, j in _unproven_pairs(a):
+        x = intersect_lines(a.lines[i], a.lines[j])
+        if x is None:
+            continue
+        if x is COINCIDENT:
+            raise InvariantViolation(f"arrangement lines {i} and {j} coincide")
+        clusters.setdefault(x, set()).update((i, j))
     return [
         MultiplePoint(location=loc, incident=tuple(sorted(clusters[loc])))
         for loc in sorted(clusters)
     ]
+
+
+# A prime below 2^31: residues stay below 2^31, so every product of two
+# residues stays below 2^62.  The pass reduces after every product, so no
+# sum or difference it forms leaves int64.
+_PRIME = 2**31 - 1
+_BLOCK_PAIRS = 1 << 16  # pairs per numpy block, which bounds the pass's memory
+
+
+def _unproven_pairs(a: Arrangement):
+    """The pairs (i, j), i < j, in lexicographic order, that residues do not
+    prove skew.
+
+    Lines i and j with directions u, v and integer bases (A_i, D_i),
+    (A_j, D_j) meet only if every 3x3 minor of [u, v, r] vanishes, where
+    r = A_j D_i - A_i D_j.  The minor on rows (x, y, z) is
+    D_i M(u, v, A_j) - D_j M(u, v, A_i), M the 3x3 determinant on those
+    rows.  A minor that is nonzero mod a prime is nonzero, so the pair is
+    skew.  Parallel pairs have vanishing minors, and the plane has none, so
+    those pairs are always kept.
+    """
+    n, d = a.dimension, a.d
+    p = _PRIME
+
+    def residues(rows, shape):
+        return np.array([[x % p for x in row] for row in rows], dtype=np.int64).reshape(shape)
+
+    u = residues((line.direction for line in a.lines), (d, n))
+    A = residues((line.integer_base[0] for line in a.lines), (d, n))
+    D = residues(((line.integer_base[1],) for line in a.lines), (d, 1))
+    step = max(1, _BLOCK_PAIRS // max(d, 1))
+    for lo in range(0, d, step):
+        hi = min(lo + step, d)
+        ui, uj = u[lo:hi, None, :], u[None, lo:, :]
+        Ai, Aj = A[lo:hi, None, :], A[None, lo:, :]
+        Di, Dj = D[lo:hi], D[lo:, 0]
+        kept = np.triu(np.ones((hi - lo, d - lo), dtype=bool), 1)
+        for rows in combinations(range(n), 3):
+            # cross[k]: the cofactor of row rows[k] in M(u, v, .), mod p
+            cross = [
+                (ui[..., y] * uj[..., z] % p - ui[..., z] * uj[..., y] % p) % p
+                for y, z in ((rows[1], rows[2]), (rows[2], rows[0]), (rows[0], rows[1]))
+            ]
+            m_j = sum(c * Aj[..., x] % p for c, x in zip(cross, rows)) % p
+            m_i = sum(c * Ai[..., x] % p for c, x in zip(cross, rows)) % p
+            kept &= (Di * m_j % p - Dj * m_i % p) % p == 0
+        i, j = np.nonzero(kept)
+        yield from zip((i + lo).tolist(), (j + lo).tolist())
 
 
 def multiplicity_vector(a: Arrangement) -> dict[int, int]:

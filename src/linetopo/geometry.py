@@ -3,8 +3,9 @@
 Incidence, parallelism and intersection are decided as identities between
 integers: ``integer_form``, the one place that clears denominators, writes
 a rational vector as integer numerators over one positive denominator.
-``Fraction`` is built only for the rationals returned: points, canonical
-bases and line parameters.  There is no tolerance anywhere.  Multiplicity
+Canonical bases are computed in integers too.  ``Fraction`` is built only
+for the rationals returned: points, canonical bases (one per coordinate)
+and line parameters.  There is no tolerance anywhere.  Multiplicity
 data changes the topology of a complement, so near-miss intersections must
 never be merged and exact coincidences must never be split.
 """
@@ -98,18 +99,22 @@ class Line:
 
 
 def canonicalize_line(p, u) -> Line:
-    """Build the canonical Line through point p with direction parallel to u."""
-    p = as_point(p)
-    if len(p) < 2:
-        raise DimensionMismatch(f"ambient dimension must be >= 2, got {len(p)}")
+    """Build the canonical Line through point p with direction parallel to u.
+
+    The base is p minus its projection onto the direction d.  With
+    p = P / D it is (P (d.d) - (P.d) d) / (D (d.d)), computed in integers,
+    with one ``Fraction`` per coordinate.
+    """
+    P, D = integer_form(p)
+    if len(P) < 2:
+        raise DimensionMismatch(f"ambient dimension must be >= 2, got {len(P)}")
     d = primitive_direction(u)
-    if len(d) != len(p):
+    if len(d) != len(P):
         raise DimensionMismatch(
-            f"point has dimension {len(p)}, direction has dimension {len(d)}"
+            f"point has dimension {len(P)}, direction has dimension {len(d)}"
         )
-    # Orthogonal projection of p onto the direction is removed from the base.
-    t = dot(p, d) / dot(d, d)
-    base = tuple(x - t * dx for x, dx in zip(p, d))
+    dd, pd = dot(d, d), dot(P, d)
+    base = tuple(Fraction(x * dd - pd * dx, D * dd) for x, dx in zip(P, d))
     return Line(base=base, direction=d)
 
 

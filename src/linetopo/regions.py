@@ -58,21 +58,6 @@ def clipping_box(a: Arrangement):
         k += 1
 
 
-def _perimeter_key(box, p):
-    """Cyclic sort key along the box boundary, counterclockwise from (x0, y0)."""
-    (x0, x1), (y0, y1) = box
-    x, y = p
-    if y == y0:
-        return (0, x - x0)
-    if x == x1:
-        return (1, y - y0)
-    if y == y1:
-        return (2, x1 - x)
-    if x != x0:
-        raise InvariantViolation(f"point {p} is not on the box boundary")
-    return (3, y1 - y)
-
-
 def clip_subdivision(a: Arrangement) -> ClippedSubdivision:
     """Exact V/E/F counts of the box subdivision; F = 1 + E - V by the disk
     Euler formula."""
@@ -108,9 +93,12 @@ def clip_subdivision(a: Arrangement) -> ClippedSubdivision:
     if len(crossings) != 2 * a.d:
         raise InvariantViolation("two lines cross the boundary at one point")
 
-    boundary_vertices = sorted(crossings | corners, key=lambda p: _perimeter_key(box, p))
-    v = len(boundary_vertices) + len(interior)
-    e = len(boundary_vertices) + segments_inside  # the boundary is one cycle
+    off = next((p for p in crossings if p[0] not in (x0, x1) and p[1] not in (y0, y1)), None)
+    if off is not None:
+        raise InvariantViolation(f"point {off} is not on the box boundary")
+    boundary_vertices = len(crossings | corners)
+    v = boundary_vertices + len(interior)
+    e = boundary_vertices + segments_inside  # the boundary is one cycle
     f = 1 + e - v
     return ClippedSubdivision(box=box, vertex_count=v, edge_count=e, face_count=f)
 

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import pytest
 
 from linetopo import (
+    Arrangement,
     DuplicateLine,
     NonGenericDirection,
     ResolutionTooCoarse,
@@ -162,6 +163,36 @@ def test_intersection_pass_cost_n3_d300(tmp_path):
     assert code == 0
     assert doc["self_check"]["agree"] is True
     assert elapsed < 5.0, f"n=3 d=300 analyze took {elapsed:.2f}s, budget 5s"
+
+
+@pytest.fixture(scope="module")
+def mixed3_d1500():
+    return generate_random(3, 1500, "mixed", 1)
+
+
+def test_intersection_pass_cost_n3_d1500(tmp_path, mixed3_d1500):
+    # 1,124,250 line pairs; residues prove the skew ones skew in numpy
+    t0 = time.perf_counter()
+    code, doc = _analyze(tmp_path, mixed3_d1500)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert doc["self_check"]["agree"] is True
+    assert elapsed < 3.0, f"n=3 d=1500 analyze took {elapsed:.2f}s, budget 3s"
+
+
+def test_intersection_pass_memory_n3_d1500(mixed3_d1500):
+    # the residue pass works on blocks of rows, so its numpy temporaries
+    # stay small however many pairs there are
+    import tracemalloc
+
+    a = Arrangement(dimension=3, lines=mixed3_d1500.lines)  # nothing cached yet
+    tracemalloc.start()
+    try:
+        multiple_points(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"multiple_points peaked at {peak / 2**20:.1f} MiB, budget 16 MiB"
 
 
 def test_criterion_4_poset_recovery():

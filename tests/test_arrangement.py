@@ -8,10 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linetopo.arrangement
 from linetopo import (
+    COINCIDENT,
     Arrangement,
     DimensionMismatch,
     DuplicateLine,
+    InvariantViolation,
+    canonicalize_line,
+    intersect_lines,
     build_arrangement,
     generate_random,
     genus,
@@ -20,7 +25,7 @@ from linetopo import (
     predict_topology,
     serialize_arrangement,
 )
-from linetopo.arrangement import transform
+from linetopo.arrangement import MultiplePoint, transform
 from linetopo.cli import run_cli
 from conftest import X_AXIS3, Y_AXIS3, Z_AXIS3, seeded_corpus
 
@@ -224,3 +229,121 @@ def test_incident_sets_are_complete():
         for mp in multiple_points(a):
             for li, line in enumerate(a.lines):
                 assert point_on_line(mp.location, line) == (li in mp.incident)
+
+
+def _multiple_points_oracle(a):
+    """The all-pairs loop multiple_points ran before the residue filter:
+    every pair goes through intersect_lines."""
+    clusters = {}
+    for i in range(a.d):
+        for j in range(i + 1, a.d):
+            x = intersect_lines(a.lines[i], a.lines[j])
+            if x is None:
+                continue
+            if x is COINCIDENT:
+                raise InvariantViolation(f"arrangement lines {i} and {j} coincide")
+            clusters.setdefault(x, set()).update((i, j))
+    return [
+        MultiplePoint(location=loc, incident=tuple(sorted(clusters[loc])))
+        for loc in sorted(clusters)
+    ]
+
+
+def _outcome(find, a):
+    try:
+        return find(a)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+_COORDS = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-(2**70), 2**70),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**66)),
+)
+_STEPS = st.one_of(st.integers(-3, 3), st.integers(-(2**66), 2**66))
+
+
+@st.composite
+def _tricky_arrangements(draw):
+    """Lines in R^n, n = 3-5, built one at a time: through a shared hub
+    point, 1/10^j off a hub, parallel to an earlier line, through points of
+    two earlier lines, or at random; sometimes with re-expressed copies of
+    earlier lines inserted, which make the arrangement invalid."""
+    n = draw(st.integers(3, 5))
+    points = st.lists(_COORDS, min_size=n, max_size=n)
+    directions = st.lists(_STEPS, min_size=n, max_size=n).filter(any)
+    hubs = draw(st.lists(points, min_size=1, max_size=3))
+    raw = []
+    for _ in range(draw(st.integers(2, 8))):
+        mode = draw(st.sampled_from(["hub", "near", "parallel", "bridge", "random"]))
+        if mode in ("parallel", "bridge") and len(raw) < 2:
+            mode = "hub"
+        if mode == "hub":
+            raw.append((draw(st.sampled_from(hubs)), draw(directions)))
+        elif mode == "near":
+            p = list(draw(st.sampled_from(hubs)))
+            p[draw(st.integers(0, n - 1))] += Fraction(1, 10 ** draw(st.integers(1, 30)))
+            raw.append((p, draw(directions)))
+        elif mode == "parallel":
+            _, u = draw(st.sampled_from(raw))
+            c = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+            raw.append((draw(points), [c * x for x in u]))
+        elif mode == "bridge":
+            ends = []
+            for p, u in draw(st.lists(st.sampled_from(raw), min_size=2, max_size=2)):
+                t = draw(_COORDS)
+                ends.append([Fraction(x) + t * y for x, y in zip(p, u)])
+            step = [y - x for x, y in zip(*ends)]
+            raw.append((ends[0], step if any(step) else draw(directions)))
+        else:
+            raw.append((draw(points), draw(directions)))
+    lines = [canonicalize_line(p, u) for p, u in raw]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        p, u = draw(st.sampled_from(raw))
+        t, c = draw(_COORDS), draw(st.sampled_from([1, -1, 7, Fraction(-2, 5)]))
+        copy = canonicalize_line([Fraction(x) + t * y for x, y in zip(p, u)], [c * y for y in u])
+        lines.insert(draw(st.integers(0, len(lines))), copy)
+    return Arrangement(dimension=n, lines=tuple(lines))
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, None])
+@settings(max_examples=75, deadline=None)
+@given(_tricky_arrangements())
+def test_residue_filter_matches_the_all_pairs_oracle(prime, a):
+    # a small modulus forces residue collisions, so skew pairs reach the
+    # exact check; the result, and the first coincident pair named, must
+    # not change
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(linetopo.arrangement, "_PRIME", prime)
+        assert _outcome(multiple_points, a) == _outcome(_multiple_points_oracle, a)
+
+
+def test_only_meeting_or_parallel_pairs_are_intersected(intersection_calls):
+    # seeded n=3 corpora where almost every pair is skew, plus parallel
+    # pairs: a pair reaches intersect_lines iff it meets or is parallel
+    parallel = build_arrangement(3, [
+        ((0, 0, 0), (1, 2, 3)), ((1, 0, 0), (2, 4, 6)), ((0, 5, 0), (-1, -2, -3)),
+        ((0, 0, 0), (0, 1, 0)), ((7, 0, 1), (0, 0, 1)), ((2**70, 3, Fraction(1, 3)), (1, 2, 3)),
+    ])
+    corpus = [parallel] + [
+        generate_random(3, 40, profile, seed)
+        for profile in ("generic", "mixed", "pencil(5)")
+        for seed in (11, 12)
+    ]
+    for a in corpus:
+        intersection_calls.clear()
+        multiple_points(a)
+        index = {line: k for k, line in enumerate(a.lines)}
+        called = [(index[x], index[y]) for x, y in intersection_calls]
+        expected = [
+            (i, j)
+            for i in range(a.d)
+            for j in range(i + 1, a.d)
+            if a.lines[i].direction == a.lines[j].direction
+            or intersect_lines(a.lines[i], a.lines[j]) is not None
+        ]
+        assert called == expected
+        assert len(called) < a.d * (a.d - 1) // 2

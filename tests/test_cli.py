@@ -376,3 +376,22 @@ def test_mutated_documents_end_in_an_exit_code(tmp_path_factory, text):
         if code == 2:
             error = json.loads(out.getvalue())["error"]
             assert error["type"] and error["message"], argv
+
+
+def test_run_cli_builds_its_parser_once(capsys, tmp_path, monkeypatch):
+    built = []
+    real = linetopo.cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(linetopo.cli, "build_parser", counting)
+    linetopo.cli._parser.cache_clear()
+    try:
+        for argv in (["analyze"], ["poset"], ["sweep"]):
+            code, _, _ = run(capsys, argv, MIXED3, tmp_path)
+            assert code == 0
+    finally:
+        linetopo.cli._parser.cache_clear()
+    assert built == [1]

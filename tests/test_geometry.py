@@ -13,11 +13,24 @@ from linetopo import (
     point_on_line,
 )
 from linetopo.generate import SplitMix64
-from linetopo.geometry import integer_form, line_box_params
+from linetopo.geometry import (
+    Line,
+    as_point,
+    integer_form,
+    line_box_params,
+    primitive_direction,
+)
 
 
-# Reference implementations: the Fraction arithmetic intersect_lines and
-# point_on_line used before they tested integer identities.
+# Reference implementations: the Fraction arithmetic canonicalize_line,
+# intersect_lines and point_on_line used before they worked in integers.
+
+
+def _canonicalize_oracle(p, u):
+    p = as_point(p)
+    d = primitive_direction(u)
+    t = sum(x * dx for x, dx in zip(p, d)) / sum(dx * dx for dx in d)
+    return Line(base=tuple(x - t * dx for x, dx in zip(p, d)), direction=d)
 
 
 def _fsub(a, b):
@@ -229,3 +242,25 @@ def test_integer_kernel_matches_the_fraction_oracle(case):
     for point in points:
         for line in (a, b):
             assert point_on_line(point, line) == _point_on_line_oracle(point, line)
+
+
+_wide_rationals = st.one_of(
+    _rationals,
+    st.integers(-(2**70), 2**70),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**66)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_canonicalization_matches_the_fraction_oracle(data):
+    # coordinates and denominators beyond 2^63, and near-zero offsets 1/10^j
+    n = data.draw(st.integers(2, 5))
+    p = data.draw(st.lists(_wide_rationals, min_size=n, max_size=n))
+    k = data.draw(st.integers(0, n - 1))
+    p[k] += Fraction(1, 10 ** data.draw(st.integers(0, 30)))
+    u = data.draw(st.lists(_wide_rationals, min_size=n, max_size=n).filter(any))
+    line = canonicalize_line(p, u)
+    assert line == _canonicalize_oracle(p, u)
+    assert all(type(x) is Fraction for x in line.base)
+    assert sum(b * dx for b, dx in zip(line.base, line.direction)) == 0

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
+import linetopo.regions
 from linetopo import (
+    InvariantViolation,
     WrongDimension,
     build_arrangement,
     clip_subdivision,
@@ -65,3 +69,17 @@ def test_region_count_makes_one_intersection_pass(intersection_calls):
     a = generate_random(2, 7, "mixed", 7)
     assert euler_region_count(a) == 1 + genus(a)
     assert len(intersection_calls) == 7 * 6 // 2
+
+
+def test_crossing_off_the_box_boundary_is_an_invariant_violation(monkeypatch):
+    # line_box_params puts every crossing on the boundary; a clip that ends
+    # inside the box must be refused, not counted
+    real = linetopo.regions.line_box_params
+
+    def shrunk(line, lo, hi):
+        t0, t1 = real(line, lo, hi)
+        return t0 + Fraction(1, 3), t1
+
+    monkeypatch.setattr(linetopo.regions, "line_box_params", shrunk)
+    with pytest.raises(InvariantViolation, match="not on the box boundary"):
+        clip_subdivision(build_arrangement(2, [((0, 0), (1, 0))]))
