@@ -75,12 +75,21 @@ def build_arrangement(n: int, raw_lines) -> Arrangement:
     Raises DuplicateLine if two inputs describe the same line; the message
     names both offending indices.  Input order is preserved.
     """
+    return arrangement_of_lines(n, (canonicalize_line(p, u) for p, u in raw_lines))
+
+
+def arrangement_of_lines(n: int, lines) -> Arrangement:
+    """The Arrangement of canonical lines in R^n, in their order.
+
+    Raises DimensionMismatch for n < 2 or a line in another dimension, and
+    DuplicateLine, naming both indices, for two equal lines.  ``lines`` is
+    read once, in order, so a generator's own errors keep their place
+    between these checks.
+    """
     if n < 2:
         raise DimensionMismatch(f"ambient dimension must be >= 2, got {n}")
-    lines: list[Line] = []
     seen: dict[Line, int] = {}
-    for idx, (p, u) in enumerate(raw_lines):
-        line = canonicalize_line(p, u)
+    for idx, line in enumerate(lines):
         if line.dimension != n:
             raise DimensionMismatch(
                 f"line {idx} has dimension {line.dimension}, expected {n}"
@@ -88,8 +97,7 @@ def build_arrangement(n: int, raw_lines) -> Arrangement:
         if line in seen:
             raise DuplicateLine(seen[line], idx)
         seen[line] = idx
-        lines.append(line)
-    return Arrangement(dimension=n, lines=tuple(lines))
+    return Arrangement(dimension=n, lines=tuple(seen))  # dicts keep insertion order
 
 
 def multiple_points(a: Arrangement) -> list[MultiplePoint]:

@@ -134,6 +134,7 @@ def _coarseness_guard(a: Arrangement, cube_side: Fraction, box_side: Fraction):
     """
     n = a.dimension
     mps = a.multiple_points
+    bases = [line.base for line in a.lines]
     threshold = 4 * n * cube_side**2  # (2 * cube diameter)^2
     for i in range(len(mps)):
         for j in range(i + 1, len(mps)):
@@ -145,7 +146,7 @@ def _coarseness_guard(a: Arrangement, cube_side: Fraction, box_side: Fraction):
             if li in mps[i].incident:
                 continue
             u = line.direction
-            if _gram(sub(mps[i].location, line.base), u) < threshold * _gram(u):
+            if _gram(sub(mps[i].location, bases[li]), u) < threshold * _gram(u):
                 raise ResolutionTooCoarse(
                     f"multiple point {i} and line {li} are closer than two cube diameters"
                 )
@@ -158,7 +159,7 @@ def _coarseness_guard(a: Arrangement, cube_side: Fraction, box_side: Fraction):
                 continue
             u, v = a.lines[i].direction, a.lines[j].direction
             dirs = (u,) if u == v else (u, v)
-            w = sub(a.lines[j].base, a.lines[i].base)
+            w = sub(bases[j], bases[i])
             if _gram(w, *dirs) < threshold * _gram(*dirs):
                 raise ResolutionTooCoarse(
                     f"disjoint lines {i} and {j} are closer than two cube diameters"

@@ -8,9 +8,8 @@ or Python version.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .arrangement import Arrangement, build_arrangement
+from .arrangement import Arrangement, arrangement_of_lines
 from .errors import InvalidProfile
 from .geometry import Line, canonicalize_line, intersect_lines, point_on_line
 
@@ -78,7 +77,7 @@ def _draw_generic_line(rng, n, lines, radius, avoid_points):
         p = _draw_vector(rng, n, radius, nonzero=False)
         u = _draw_vector(rng, n, radius, nonzero=True)
         line = canonicalize_line(p, u)
-        if any(line == old or line.direction == old.direction for old in lines):
+        if any(line.direction == old.direction for old in lines):  # equal lines share one too
             continue
         if any(point_on_line(pt, line) for pt in avoid_points):
             continue
@@ -107,7 +106,7 @@ def generate_random(n: int, d: int, profile: str, seed: int) -> Arrangement:
 
     lines: list[Line] = []
     if kind == "pencil":
-        apex = tuple(Fraction(rng.int_between(-9, 9)) for _ in range(n))
+        apex = tuple(rng.int_between(-9, 9) for _ in range(n))
         dirs = set()
         while len(lines) < k:
             u = _draw_vector(rng, n, 9, nonzero=True)
@@ -130,4 +129,4 @@ def generate_random(n: int, d: int, profile: str, seed: int) -> Arrangement:
                 )
             lines.append(line)
 
-    return build_arrangement(n, [(l.base, l.direction) for l in lines])
+    return arrangement_of_lines(n, lines)

@@ -1,20 +1,22 @@
 """Exact rational primitives: points, canonical lines, incidence and intersection.
 
 Incidence, parallelism and intersection are decided as identities between
-integers: ``integer_form``, the one place that clears denominators, writes
-a rational vector as integer numerators over one positive denominator.
-Canonical bases are computed in integers too.  ``Fraction`` is built only
-for the rationals returned: points, canonical bases (one per coordinate)
-and line parameters.  There is no tolerance anywhere.  Multiplicity
-data changes the topology of a complement, so near-miss intersections must
-never be merged and exact coincidences must never be split.
+integers.  ``clear_denominators`` is the one routine that clears
+denominators: it writes a vector given as (numerator, denominator) pairs as
+integer numerators over one positive denominator.  ``integer_form`` feeds it
+rationals, and the parser feeds it the pairs it reads.  A ``Line`` holds its
+canonical base in that integer form, computed in integers from the input, and
+builds ``Fraction``s only when its ``base`` view is read.  ``Fraction`` is
+otherwise built only for the rationals returned: points and line
+parameters.  There is no tolerance anywhere.  Multiplicity data changes the
+topology of a complement, so near-miss intersections must never be merged
+and exact coincidences must never be split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InvariantViolation, ZeroDirection
@@ -28,13 +30,29 @@ def as_point(coords) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
+def clear_denominators(ratios) -> tuple[tuple[int, ...], int]:
+    """(X, D) for a vector given as (numerator, denominator) pairs with
+    positive denominators: D is the lcm of the denominators and entry k is
+    X_k / D.  The pairs need not be in lowest terms."""
+    ratios = tuple(ratios)
+    den = lcm(*(q for _, q in ratios))
+    return tuple(p * (den // q) for p, q in ratios), den
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational in lowest terms, denominator > 0.
+    Entries may be anything ``Fraction()`` accepts; ints and Fractions are
+    read as they are."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
 def integer_form(v) -> tuple[tuple[int, ...], int]:
     """(X, D): integer numerators X over D > 0, the lcm of the entries'
     denominators, so that v = X / D.  Entries may be anything ``Fraction()``
-    accepts."""
-    v = as_point(v)
-    den = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (den // x.denominator) for x in v), den
+    accepts.  Entries in lowest terms give gcd(*X, D) == 1."""
+    return clear_denominators(map(_ratio, v))
 
 
 def dot(a, b):
@@ -52,7 +70,10 @@ def primitive_direction(u) -> tuple[int, ...]:
     first nonzero entry is positive.  Parallel vectors therefore normalize to
     the identical tuple.
     """
-    ints, _ = integer_form(u)
+    return _primitive(integer_form(u)[0])
+
+
+def _primitive(ints) -> tuple[int, ...]:
     g = gcd(*ints)
     if g == 0:
         raise ZeroDirection("direction vector is zero")
@@ -65,57 +86,72 @@ def primitive_direction(u) -> tuple[int, ...]:
 class Line:
     """A canonical affine line in R^n.
 
-    ``base`` is the point of the line closest to the origin (so
-    ``base . direction == 0``) and ``direction`` is a primitive integer
-    vector whose first nonzero entry is positive.  Two Line values are equal
-    as point sets iff they are equal field-wise, so set equality of lines is
-    plain dataclass equality.
+    ``integer_base`` is (B, D_b): the point of the line closest to the
+    origin is B / D_b, with D_b > 0 and gcd(*B, D_b) == 1, which is exactly
+    ``integer_form`` of that point.  ``direction`` is a primitive integer
+    vector whose first nonzero entry is positive, so B . direction == 0.
+    Two Line values are equal as point sets iff they are equal field-wise,
+    so set equality of lines is plain dataclass equality over integers.
+    ``base`` is the same point as a tuple of Fractions, built when read.
+    Build lines with ``canonicalize_line`` or ``line_from_integer_form``.
     """
 
-    base: Point
+    integer_base: tuple[tuple[int, ...], int]
     direction: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.base)
+        return len(self.direction)
 
-    @cached_property
-    def integer_base(self) -> tuple[tuple[int, ...], int]:
-        """``integer_form(base)``, cached: the line is frozen, and equality
-        and hashing see only the fields."""
-        return integer_form(self.base)
+    @property
+    def base(self) -> Point:
+        """The base point as Fractions; not cached, so a line keeps only its
+        integers."""
+        B, D = self.integer_base
+        return tuple(Fraction(b, D) for b in B)
 
     def point_at(self, t) -> Point:
         """base + t*direction, exactly."""
-        t = Fraction(t)
-        return tuple(b + t * u for b, u in zip(self.base, self.direction))
+        p, q = _ratio(t)
+        B, D = self.integer_base
+        return tuple(Fraction(b * q + p * D * u, D * q) for b, u in zip(B, self.direction))
 
     def param_of(self, x: Point) -> Fraction:
         """Parameter t with base + t*direction == x; x must lie on the line."""
+        B, D = self.integer_base
         for k, d in enumerate(self.direction):
             if d != 0:
-                return (Fraction(x[k]) - self.base[k]) / d
+                p, q = _ratio(x[k])
+                return Fraction(p * D - B[k] * q, q * D * d)
         raise ZeroDirection("line has zero direction")
 
 
 def canonicalize_line(p, u) -> Line:
-    """Build the canonical Line through point p with direction parallel to u.
-
-    The base is p minus its projection onto the direction d.  With
-    p = P / D it is (P (d.d) - (P.d) d) / (D (d.d)), computed in integers,
-    with one ``Fraction`` per coordinate.
-    """
+    """Build the canonical Line through point p with direction parallel to u."""
     P, D = integer_form(p)
     if len(P) < 2:
         raise DimensionMismatch(f"ambient dimension must be >= 2, got {len(P)}")
-    d = primitive_direction(u)
+    return line_from_integer_form(P, D, integer_form(u)[0])
+
+
+def line_from_integer_form(P, D, U) -> Line:
+    """The canonical Line through the point P / D (integers, D > 0) with
+    direction parallel to the integer vector U.
+
+    The base is the point minus its projection onto the primitive direction
+    d: (P (d.d) - (P.d) d) / (D (d.d)), divided by the gcd of its entries
+    and denominator.
+    """
+    d = _primitive(U)
     if len(d) != len(P):
         raise DimensionMismatch(
             f"point has dimension {len(P)}, direction has dimension {len(d)}"
         )
     dd, pd = dot(d, d), dot(P, d)
-    base = tuple(Fraction(x * dd - pd * dx, D * dd) for x, dx in zip(P, d))
-    return Line(base=base, direction=d)
+    B = [x * dd - pd * dx for x, dx in zip(P, d)]
+    Db = D * dd
+    g = gcd(*B, Db)
+    return Line(integer_base=(tuple(b // g for b in B), Db // g), direction=d)
 
 
 #: Sentinel returned by intersect_lines when the two lines are equal as sets.
@@ -169,9 +205,10 @@ def line_box_params(line: Line, lo, hi):
     gate on containment of the base coordinate.
     """
     t_lo = t_hi = None
+    base = line.base
     for k in range(line.dimension):
         d = line.direction[k]
-        b = line.base[k]
+        b = base[k]
         if d == 0:
             if not (Fraction(lo[k]) <= b <= Fraction(hi[k])):
                 return None

@@ -12,8 +12,9 @@ import json
 import re
 from fractions import Fraction
 
-from .arrangement import Arrangement, InvariantReport, betti_vector, build_arrangement
+from .arrangement import Arrangement, InvariantReport, arrangement_of_lines, betti_vector
 from .errors import LinetopoError, ParseError, ZeroDirection
+from .geometry import clear_denominators, line_from_integer_form
 from .sweep import HandleTrace, SpaceGraph, SweepPlan
 from .verify import VerificationReport
 
@@ -22,8 +23,14 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 def parse_rational(text, path: str = "") -> Fraction:
     """Parse "p" or "p/q" into an exact Fraction; integers are accepted raw."""
+    return Fraction(*_parse_ratio(text, path))
+
+
+def _parse_ratio(text, path: str) -> tuple[int, int]:
+    """(p, q) from "p" or "p/q", or from a raw integer p with q = 1: not
+    reduced, q > 0."""
     if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
+        return text, 1
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ParseError(f"expected a rational string like '3' or '-3/4', got {text!r}", path)
     num, _, den = text.partition("/")
@@ -33,7 +40,7 @@ def parse_rational(text, path: str = "") -> Fraction:
         raise ParseError("integer has too many digits", path) from exc
     if den == 0:
         raise ParseError("zero denominator", path)
-    return Fraction(num, den)
+    return num, den
 
 
 def _decimal(k: int) -> str:
@@ -73,7 +80,12 @@ def _expect(cond: bool, message: str, path: str):
 
 
 def parse_arrangement(text: str) -> Arrangement:
-    """Parse and validate an arrangement file; errors carry JSON paths."""
+    """Parse and validate an arrangement file; errors carry JSON paths.
+
+    Coordinates go straight to integer forms and each line is canonicalized
+    in integers.  Duplicates are checked after the last line, so every
+    ParseError in the document comes before any DuplicateLine.
+    """
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or a number over the digit limit
@@ -88,7 +100,7 @@ def parse_arrangement(text: str) -> Arrangement:
     _expect("lines" in doc, "missing 'lines'", "$")
     _expect(isinstance(doc["lines"], list), "'lines' must be a list", "lines")
 
-    raw = []
+    lines = []
     for i, entry in enumerate(doc["lines"]):
         path = f"lines[{i}]"
         _expect(isinstance(entry, dict), "line entry must be an object", path)
@@ -98,15 +110,16 @@ def parse_arrangement(text: str) -> Arrangement:
             _expect(isinstance(val, list), f"'{field}' must be a list", f"{path}.{field}")
             _expect(len(val) == n, f"'{field}' must have {n} coordinates",
                     f"{path}.{field}")
-        point = [parse_rational(c, f"{path}.point[{j}]") for j, c in enumerate(entry["point"])]
+        point = [_parse_ratio(c, f"{path}.point[{j}]") for j, c in enumerate(entry["point"])]
         direction = [
-            parse_rational(c, f"{path}.direction[{j}]")
+            _parse_ratio(c, f"{path}.direction[{j}]")
             for j, c in enumerate(entry["direction"])
         ]
-        if not any(direction):
+        if not any(p for p, _ in direction):
             raise ZeroDirection(f"{path}.direction: direction vector is zero")
-        raw.append((point, direction))
-    return build_arrangement(n, raw)
+        P, D = clear_denominators(point)
+        lines.append(line_from_integer_form(P, D, clear_denominators(direction)[0]))
+    return arrangement_of_lines(n, lines)
 
 
 def arrangement_to_json(a: Arrangement, name: str | None = None, **metadata) -> dict:

@@ -89,7 +89,6 @@ def clip_subdivision(a: Arrangement) -> ClippedSubdivision:
     corners = {(x0, y0), (x1, y0), (x1, y1), (x0, y1)}
     if crossings & corners:
         raise InvariantViolation("line crossing at a box corner")
-    interior = {mp.location for mp in mps}
     if len(crossings) != 2 * a.d:
         raise InvariantViolation("two lines cross the boundary at one point")
 
@@ -97,7 +96,7 @@ def clip_subdivision(a: Arrangement) -> ClippedSubdivision:
     if off is not None:
         raise InvariantViolation(f"point {off} is not on the box boundary")
     boundary_vertices = len(crossings | corners)
-    v = boundary_vertices + len(interior)
+    v = boundary_vertices + len(mps)  # the multiple points are distinct
     e = boundary_vertices + segments_inside  # the boundary is one cycle
     f = 1 + e - v
     return ClippedSubdivision(box=box, vertex_count=v, edge_count=e, face_count=f)

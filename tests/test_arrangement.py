@@ -22,6 +22,7 @@ from linetopo import (
     genus,
     multiple_points,
     multiplicity_vector,
+    parse_arrangement,
     predict_topology,
     serialize_arrangement,
 )
@@ -347,3 +348,29 @@ def test_only_meeting_or_parallel_pairs_are_intersected(intersection_calls):
         ]
         assert called == expected
         assert len(called) < a.d * (a.d - 1) // 2
+
+
+def test_parse_and_pass_build_no_fraction_on_skew_lines(monkeypatch):
+    # the lines of one ruling of the saddle z = xy are pairwise skew, and an
+    # affine map keeps them so; lines and their bases stay integers from the
+    # parse through the pass
+    ruled = build_arrangement(3, [((i, 0, 0), (0, 1, i)) for i in range(200)])
+    a0 = transform(ruled, [[2, 1, 0], [1, -1, 3], [0, 5, 1]], [Fraction(1, 2), -3, Fraction(7, 5)])
+    text = serialize_arrangement(a0)
+    assert "/" in text
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    Fraction(1, 3)
+    assert len(built) == 1  # the wrapper sees constructions
+    built.clear()
+    a = parse_arrangement(text)
+    mps = a.multiple_points
+    monkeypatch.undo()
+    assert built == []
+    assert mps == () and a == a0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from linetopo import (
 )
 from linetopo.generate import SplitMix64
 from linetopo.geometry import (
-    Line,
     as_point,
     integer_form,
     line_box_params,
@@ -30,7 +30,7 @@ def _canonicalize_oracle(p, u):
     p = as_point(p)
     d = primitive_direction(u)
     t = sum(x * dx for x, dx in zip(p, d)) / sum(dx * dx for dx in d)
-    return Line(base=tuple(x - t * dx for x, dx in zip(p, d)), direction=d)
+    return tuple(x - t * dx for x, dx in zip(p, d)), d
 
 
 def _fsub(a, b):
@@ -261,6 +261,34 @@ def test_integer_canonicalization_matches_the_fraction_oracle(data):
     p[k] += Fraction(1, 10 ** data.draw(st.integers(0, 30)))
     u = data.draw(st.lists(_wide_rationals, min_size=n, max_size=n).filter(any))
     line = canonicalize_line(p, u)
-    assert line == _canonicalize_oracle(p, u)
+    assert (line.base, line.direction) == _canonicalize_oracle(p, u)
     assert all(type(x) is Fraction for x in line.base)
     assert sum(b * dx for b, dx in zip(line.base, line.direction)) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_lines_keep_a_reduced_integer_base(data):
+    # the integer base is integer_form of the Fraction view: lowest terms,
+    # positive denominator, orthogonal to the direction
+    n = data.draw(st.integers(2, 5))
+    p = data.draw(st.lists(_wide_rationals, min_size=n, max_size=n))
+    u = data.draw(st.lists(_wide_rationals, min_size=n, max_size=n).filter(any))
+    line = canonicalize_line(p, u)
+    B, D = line.integer_base
+    assert D > 0 and gcd(*B, D) == 1
+    assert integer_form(line.base) == line.integer_base
+    assert sum(b * dx for b, dx in zip(line.base, line.direction)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_line_parameters_match_the_fraction_view(data):
+    n = data.draw(st.integers(2, 5))
+    p = data.draw(st.lists(_wide_rationals, min_size=n, max_size=n))
+    u = data.draw(st.lists(_wide_rationals, min_size=n, max_size=n).filter(any))
+    t = data.draw(_wide_rationals)
+    line = canonicalize_line(p, u)
+    x = line.point_at(t)
+    assert x == tuple(b + t * dx for b, dx in zip(line.base, line.direction))
+    assert line.param_of(x) == t

@@ -1,14 +1,18 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linetopo import (
     DuplicateLine,
     InvalidProfile,
+    LinetopoError,
     ParseError,
     SplitMix64,
     ZeroDirection,
+    build_arrangement,
     generate_random,
     genus,
     multiplicity_vector,
@@ -17,6 +21,132 @@ from linetopo import (
 )
 from linetopo.io_json import format_rational, input_digest, parse_rational
 from conftest import seeded_corpus
+
+
+def _parse_oracle(text):
+    """The parser as it was before it read coordinates into integer forms:
+    one Fraction per coordinate through parse_rational, then
+    build_arrangement."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply to parse") from exc
+
+    def expect(cond, message, path):
+        if not cond:
+            raise ParseError(message, path)
+
+    expect(isinstance(doc, dict), "top level must be an object", "$")
+    expect("dimension" in doc, "missing 'dimension'", "$")
+    n = doc["dimension"]
+    expect(isinstance(n, int) and not isinstance(n, bool) and n >= 2,
+           "'dimension' must be an integer >= 2", "dimension")
+    expect("lines" in doc, "missing 'lines'", "$")
+    expect(isinstance(doc["lines"], list), "'lines' must be a list", "lines")
+    raw = []
+    for i, entry in enumerate(doc["lines"]):
+        path = f"lines[{i}]"
+        expect(isinstance(entry, dict), "line entry must be an object", path)
+        for field in ("point", "direction"):
+            expect(field in entry, f"missing '{field}'", path)
+            val = entry[field]
+            expect(isinstance(val, list), f"'{field}' must be a list", f"{path}.{field}")
+            expect(len(val) == n, f"'{field}' must have {n} coordinates", f"{path}.{field}")
+        point = [parse_rational(c, f"{path}.point[{j}]") for j, c in enumerate(entry["point"])]
+        direction = [
+            parse_rational(c, f"{path}.direction[{j}]") for j, c in enumerate(entry["direction"])
+        ]
+        if not any(direction):
+            raise ZeroDirection(f"{path}.direction: direction vector is zero")
+        raw.append((point, direction))
+    return build_arrangement(n, raw)
+
+
+def _parsed(parse, text):
+    """An arrangement with its Fraction bases, or the error's type, message
+    and path."""
+    try:
+        a = parse(text)
+    except LinetopoError as exc:
+        return type(exc), str(exc), getattr(exc, "path", None)
+    return a, [line.base for line in a.lines]
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_VALUES = st.one_of(
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+    st.integers(-(2**70), 2**70).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**66)),
+)
+_JUNK = st.sampled_from([
+    True, False, None, 1.5, 2.0, "1/0", "-3/0", "0/0", "1.5", "1e3", "x", "", "1/2/3",
+    "1/-2", " 1", "1" * 5000, "2/" + "3" * 5000,
+])
+
+
+@st.composite
+def _coordinate(draw, x):
+    """x written as a raw JSON int, or as a string with a sign, unreduced,
+    with leading zeros, in Arabic-Indic digits or with a trailing newline."""
+    k = draw(st.sampled_from([1, 1, 6, 2**65]))
+    p, q = x.numerator * k, x.denominator * k
+    style = draw(st.sampled_from(["raw", "plain", "plus", "zeros", "arabic", "newline"]))
+    if style == "raw" and q == 1:
+        return p
+    text = str(p) if q == 1 else f"{p}/{q}"
+    if p == 0 and draw(st.booleans()):
+        text = f"-0/{q}"
+    if style == "plus" and text[0] != "-":
+        return "+" + text
+    if style == "zeros":
+        return ("-00" + text[1:]) if text[0] == "-" else "00" + text
+    if style == "arabic":
+        return text.translate(_ARABIC_INDIC)
+    return text + "\n" if style == "newline" else text
+
+
+@st.composite
+def _documents(draw):
+    """Arrangement documents in n = 2-5 whose lines are drawn, or re-express
+    an earlier line, with now and then a zero direction or a junk
+    coordinate."""
+    n = draw(st.integers(2, 5))
+    raw = []
+    for _ in range(draw(st.integers(0, 5))):
+        if raw and draw(st.integers(0, 3)) == 0:
+            p, u = draw(st.sampled_from(raw))
+            t, c = draw(_VALUES), draw(_VALUES.filter(bool))
+            raw.append(([x + t * y for x, y in zip(p, u)], [c * y for y in u]))
+        else:
+            p, u = (draw(st.lists(_VALUES, min_size=n, max_size=n)) for _ in "pu")
+            raw.append((p, [Fraction(0)] * n if draw(st.integers(0, 15)) == 0 else u))
+    lines = [
+        {field: [draw(_JUNK) if draw(st.integers(0, 80)) == 0 else draw(_coordinate(x))
+                 for x in vector]
+         for field, vector in zip(("point", "direction"), line)}
+        for line in raw
+    ]
+    return json.dumps({"dimension": n, "lines": lines})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+def test_parser_matches_the_fraction_oracle(text):
+    assert _parsed(parse_arrangement, text) == _parsed(_parse_oracle, text)
+
+
+def test_parse_errors_come_before_duplicates():
+    dup = {"point": ["2/4", "0"], "direction": ["6/3", "0"]}  # the x-axis again
+    lines = [{"point": ["0", "0"], "direction": ["1", "0"]}, dup]
+    text = json.dumps({"dimension": 2, "lines": lines})
+    duplicate = (DuplicateLine, "lines 0 and 1 describe the same line", None)
+    assert _parsed(parse_arrangement, text) == _parsed(_parse_oracle, text) == duplicate
+    lines.append({"point": ["1", "0"], "direction": ["1/0", "1"]})
+    text = json.dumps({"dimension": 2, "lines": lines})
+    expected = (ParseError, "lines[2].direction[0]: zero denominator", "lines[2].direction[0]")
+    assert _parsed(parse_arrangement, text) == _parsed(_parse_oracle, text) == expected
 
 
 def test_parse_minimal_file():

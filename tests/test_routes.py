@@ -1,4 +1,5 @@
-"""The three routes share exact line intersection and nothing more.
+"""The three routes share exact line intersection and nothing more, and only
+``geometry`` clears denominators.
 
 The sweep (``sweep``), the poset (``poset``) and the two brute-force oracles
 (``regions``, ``cubical``) may read an ``Arrangement`` and ``geometry``, but
@@ -60,3 +61,26 @@ def test_route_check_sees_a_forbidden_import(tmp_path):
         "imports route cubical",
         "imports predict_topology from linetopo.arrangement",
     ]
+
+
+def _denominator_reads(path: Path):
+    """The top-level definition (None at module level) around every read of
+    ``.numerator`` or ``.denominator`` in a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr in ("numerator", "denominator"):
+                yield getattr(node, "name", None)
+
+
+def test_denominators_are_cleared_only_in_geometry():
+    # geometry.clear_denominators is the one routine that clears
+    # denominators; outside geometry only the renderer reads a Fraction's
+    # parts.  Equality, not a subset, so the scan is seen to find a read.
+    reads = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "geometry"
+        for name in _denominator_reads(path)
+    }
+    assert reads == {("io_json", "format_rational")}
