@@ -41,13 +41,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
 
 import numpy as np
 
 from .arrangement import Arrangement
 from .errors import GridTooLarge, InvariantViolation, ResolutionTooCoarse
-from .geometry import Line, Point, dot, integer_form, sub
+from .geometry import Line, Point, dot, integer_form
 
 BettiVector = tuple[int, ...]
 
@@ -122,60 +123,61 @@ def _gram(*vectors):
 def _coarseness_guard(a: Arrangement, cube_side: Fraction, box_side: Fraction):
     """Reject resolutions that cannot resolve the arrangement's features.
 
-    Certified with exact rational comparisons: any two multiple points, any
+    Certified with exact integer comparisons: any two multiple points, any
     multiple point and a non-incident line, and any two disjoint lines must
     be at least two cube diameters apart, and the wedge between any two lines
     through a multiple point must reach two cube diameters of width within
     the guaranteed run to the box boundary (a third of the box side), since a
     thinner wedge region never certifies a free cube.  The squared distance
     from w to the span of some directions is _gram(w, *dirs) / _gram(*dirs)
-    and the sin^2 of a wedge _gram(di, dj) / (_gram(di) _gram(dj)); each
-    check compares them cross-multiplied, so nothing is divided.
+    and the sin^2 of a wedge _gram(di, dj) / (_gram(di) _gram(dj)).  Points,
+    bases and the two sides are integer forms, and each check compares
+    cross-multiplied integers, so nothing is divided.
+
+    No pair of multiple points is scanned unless a point-line check fails.
+    Two distinct multiple points p and q share at most one line, and q lies
+    on at least two, so some line through q misses p; incident sets are
+    complete, so that line is not incident to p, and its distance to p is at
+    most |p - q|.  A close pair (p, q) therefore fails the point-line check at
+    p.  Checking point i against every line, and only at the first failing i
+    scanning the pairs (i, j > i), raises the same first failure as checking
+    each point's pairs before its lines.
     """
-    n = a.dimension
-    mps = a.multiple_points
-    bases = [line.base for line in a.lines]
-    threshold = 4 * n * cube_side**2  # (2 * cube diameter)^2
-    for i in range(len(mps)):
-        for j in range(i + 1, len(mps)):
-            if _gram(sub(mps[i].location, mps[j].location)) < threshold:
-                raise ResolutionTooCoarse(
-                    f"multiple points {i} and {j} are closer than two cube diameters"
-                )
-        for li, line in enumerate(a.lines):
-            if li in mps[i].incident:
-                continue
-            u = line.direction
-            if _gram(sub(mps[i].location, bases[li]), u) < threshold * _gram(u):
-                raise ResolutionTooCoarse(
-                    f"multiple point {i} and line {li} are closer than two cube diameters"
-                )
-    meeting = {
-        (min(i, j), max(i, j)) for mp in mps for i in mp.incident for j in mp.incident
-    }
-    for i in range(a.d):
-        for j in range(i + 1, a.d):
-            if (i, j) in meeting:
-                continue
-            u, v = a.lines[i].direction, a.lines[j].direction
-            dirs = (u,) if u == v else (u, v)
-            w = sub(bases[j], bases[i])
-            if _gram(w, *dirs) < threshold * _gram(*dirs):
-                raise ResolutionTooCoarse(
-                    f"disjoint lines {i} and {j} are closer than two cube diameters"
-                )
-    run = box_side / 3  # guaranteed distance from any feature to the box boundary
+    n, mps, lines = a.dimension, a.multiple_points, a.lines
+    (S, B), den = integer_form((cube_side, box_side))
+    bound = 4 * n * S * S  # (2 * cube diameter)^2 times den^2
+    points = [integer_form(mp.location) for mp in mps]
+
+    def near(p, q, *dirs):  # p - q lies within two cube diameters of span(dirs)
+        (X, D), (Y, E) = p, q
+        W = [x * E - y * D for x, y in zip(X, Y)]
+        return _gram(W, *dirs) * den * den < bound * (D * E) ** 2 * _gram(*dirs)
+
+    for i, (p, mp) in enumerate(zip(points, mps)):
+        li = next((li for li, line in enumerate(lines) if li not in mp.incident
+                   and near(p, line.integer_base, line.direction)), None)
+        if li is None:
+            continue
+        j = next((j for j in range(i + 1, len(mps)) if near(p, points[j])), None)
+        what = f"multiple point {i} and line {li}" if j is None else f"multiple points {i} and {j}"
+        raise ResolutionTooCoarse(f"{what} are closer than two cube diameters")
+    meeting = {pair for mp in mps for pair in combinations(mp.incident, 2)}
+    for i, j in combinations(range(a.d), 2):
+        u, v = lines[i].direction, lines[j].direction
+        dirs = (u,) if u == v else (u, v)
+        if (i, j) not in meeting and near(lines[j].integer_base, lines[i].integer_base, *dirs):
+            raise ResolutionTooCoarse(
+                f"disjoint lines {i} and {j} are closer than two cube diameters"
+            )
     for k, mp in enumerate(mps):
-        for i in mp.incident:
-            for j in mp.incident:
-                if i >= j:
-                    continue
-                di, dj = a.lines[i].direction, a.lines[j].direction
-                if _gram(di, dj) * run**2 < threshold * _gram(di) * _gram(dj):
-                    raise ResolutionTooCoarse(
-                        f"lines {i} and {j} cross at multiple point {k} too shallowly "
-                        f"for the wedge to reach two cube diameters inside the box"
-                    )
+        for i, j in combinations(mp.incident, 2):
+            di, dj = lines[i].direction, lines[j].direction
+            # the guaranteed run to the box boundary is box_side / 3 = B / (3 den)
+            if _gram(di, dj) * B * B < 9 * bound * _gram(di) * _gram(dj):
+                raise ResolutionTooCoarse(
+                    f"lines {i} and {j} cross at multiple point {k} too shallowly "
+                    f"for the wedge to reach two cube diameters inside the box"
+                )
 
 
 def _slot(num: int, den: int) -> int:

@@ -59,8 +59,10 @@ def _decimal(k: int) -> str:
 
 
 def format_rational(x) -> str:
-    """"p" or "p/q" in lowest terms with q > 0, exact at any length."""
-    x = Fraction(x)
+    """"p" or "p/q" in lowest terms with q > 0, exact at any length.  Ints
+    and Fractions are read as they are; other rationals become a Fraction."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x.denominator == 1:
         return _decimal(x.numerator)
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"

@@ -30,12 +30,6 @@ class IntersectionPoset:
         return {a for (a, y) in self.relations if y == x}
 
 
-def _sort_key(el: str):
-    if el == TOP:
-        return (2, 0)
-    return (0 if el[0] == "p" else 1, int(el[1:]))
-
-
 def build_poset(a: Arrangement) -> IntersectionPoset:
     """Intersection poset: points below their incident lines, everything below T."""
     mps = a.multiple_points
@@ -89,14 +83,16 @@ def recover_line_count(p: IntersectionPoset) -> int:
 
 
 def hasse_edges(p: IntersectionPoset) -> list[tuple[str, str]]:
-    """Covering pairs of the order (its transitive reduction), deterministically ordered."""
+    """Covering pairs of the order (its transitive reduction), ordered by the
+    positions of their ends in ``p.elements``."""
     up, _ = _up_down(p)
     edges = [
         (x, y)
         for (x, y) in p.relations
         if not any(y in up[z] for z in up[x] if z != y)
     ]
-    return sorted(edges, key=lambda e: (_sort_key(e[0]), _sort_key(e[1])))
+    rank = {el: k for k, el in enumerate(p.elements)}
+    return sorted(edges, key=lambda e: (rank[e[0]], rank[e[1]]))
 
 
 def hasse_dot(p: IntersectionPoset) -> str:

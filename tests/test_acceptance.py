@@ -6,9 +6,11 @@ per criterion.  All equalities are exact; the time budgets are asserted.
 
 from __future__ import annotations
 
+import io
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +40,7 @@ from linetopo import (
     verify_arrangement,
 )
 from linetopo.cli import run_cli
+from linetopo.cubical import _bounding_cube, _coarseness_guard
 from linetopo.io_json import handle_trace_to_json
 from conftest import second_generic_direction, seeded_corpus
 
@@ -58,9 +61,6 @@ def criterion(num: int, label: str):
 def _analyze(tmp_path, arrangement, extra=()):
     path = tmp_path / "a.json"
     path.write_text(serialize_arrangement(arrangement), encoding="utf-8")
-    import io
-    from contextlib import redirect_stdout
-
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = run_cli(["analyze", *extra, str(path)])
@@ -256,6 +256,49 @@ def test_sliver_certification_cost_on_a_long_wedge():
     elapsed = time.perf_counter() - t0
     assert rep.match and rep.measured == (4, 0, 0)
     assert elapsed < 3.0, f"the 1/241 wedge at grid 2048 took {elapsed:.2f}s, budget 3s"
+
+
+def _planar_lattice(k: int):
+    """k horizontal and k vertical lines at spacing 100: k^2 double points."""
+    return build_arrangement(
+        2, [((0, 100 * i), (1, 0)) for i in range(k)] + [((100 * i, 0), (0, 1)) for i in range(k)]
+    )
+
+
+def test_guard_cost_planar_lattice(tmp_path):
+    # 900 double points, each checked against the 58 lines not through it;
+    # a guard scanning every pair of points compares 404550 pairs
+    path = tmp_path / "lattice.json"
+    path.write_text(serialize_arrangement(_planar_lattice(30)), encoding="utf-8")
+    buf = io.StringIO()
+    t0 = time.perf_counter()
+    with redirect_stdout(buf):
+        code = run_cli(["verify", "--grid", "768", str(path)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert json.loads(buf.getvalue())["verification"]["measured"] == [31**2, 0, 0]
+    assert elapsed < 2.5, f"60-line lattice verify at grid 768 took {elapsed:.2f}s, budget 2.5s"
+
+
+def test_coarseness_guard_builds_no_fraction(monkeypatch):
+    a = _planar_lattice(30)
+    _, total = _bounding_cube(a)
+    cube_side = total / 768
+    assert len(a.multiple_points) == 900  # computed and cached before the count
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    Fraction(1, 3)
+    assert len(built) == 1  # the wrapper sees constructions
+    built.clear()
+    _coarseness_guard(a, cube_side, total)
+    monkeypatch.undo()
+    assert built == []
 
 
 def test_homology_oracle_n4():

@@ -16,6 +16,7 @@ from linetopo import (
     rasterize_complement,
     verify_arrangement,
 )
+from linetopo.arrangement import arrangement_of_lines
 from linetopo.cubical import (
     CubicalComplex,
     _bounding_cube,
@@ -28,7 +29,12 @@ from linetopo.cubical import (
     _slot,
     _star,
 )
-from linetopo.geometry import canonicalize_line, intersect_lines, line_box_params
+from linetopo.geometry import (
+    canonicalize_line,
+    intersect_lines,
+    line_box_params,
+    primitive_direction,
+)
 from conftest import seeded_corpus
 
 
@@ -477,6 +483,96 @@ def test_guard_verdicts_match_the_reference_distances():
 
 
 _rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+def _guard_verdict(a, m):
+    """None, or the message ``_coarseness_guard`` raises at resolution m."""
+    _, total = _bounding_cube(a)
+    try:
+        _coarseness_guard(a, total / m, total)
+    except ResolutionTooCoarse as exc:
+        return str(exc)
+    return None
+
+
+_GUARD_GRIDS = (2, 4, 12, 64, 256, 1024, 4096, 10**6)
+
+
+def _assert_guard_matches_the_oracle(a):
+    _, total = _bounding_cube(a)
+    for m in _GUARD_GRIDS:
+        assert _guard_verdict(a, m) == _guard_oracle(a, total / m, total), m
+
+
+@st.composite
+def _planar_lattices(draw):
+    """k horizontal and k vertical lines, k = 1-5, at random rational
+    spacings: k^2 multiple points with no third line through any."""
+    k = draw(st.integers(1, 5))
+    spacing = st.builds(Fraction, st.integers(1, 400), st.integers(1, 4))
+    raw = []
+    for direction in ((1, 0), (0, 1)):
+        offset = draw(_rationals)
+        for _ in range(k):
+            offset += draw(spacing)
+            point = (0, offset) if direction == (1, 0) else (offset, 0)
+            raw.append((point, direction))
+    return build_arrangement(2, draw(st.permutations(raw)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planar_lattices())
+def test_guard_matches_the_oracle_on_planar_lattices(a):
+    _assert_guard_matches_the_oracle(a)
+
+
+@st.composite
+def _pencils(draw):
+    """One or two pencils of 2-4 lines in R^3 or R^4, each through a small
+    integer centre, plus up to two further lines."""
+    n = draw(st.sampled_from((3, 4)))
+    small = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    directions = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    raw = [
+        (centre, u)
+        for centre in draw(st.lists(small, min_size=1, max_size=2))
+        for u in draw(st.lists(directions, min_size=2, max_size=4, unique_by=primitive_direction))
+    ]
+    raw += draw(st.lists(st.tuples(small, directions), max_size=2))
+    return arrangement_of_lines(n, {canonicalize_line(p, u) for p, u in raw})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pencils())
+def test_guard_matches_the_oracle_on_pencils(a):
+    _assert_guard_matches_the_oracle(a)
+
+
+def test_guard_reports_the_first_failure_in_point_order():
+    # at point 0 both the pair (0, 1) and line 2 are too close: the pair wins
+    a = build_arrangement(2, [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 1))])
+    assert _guard_verdict(a, 8) == "multiple points 0 and 1 are closer than two cube diameters"
+    # in R^3 line 2 passes at height h above point 0, the origin, and meets
+    # no line; points 1 and 2, at x = 100 and 101 on the x-axis, are a
+    # close pair
+    def skew_above_origin(h):
+        return build_arrangement(3, [
+            ((0, 0, 0), (1, 0, 0)),
+            ((0, 0, 0), (0, 1, 0)),
+            ((0, 0, h), (1, 1, 0)),
+            ((100, 0, 0), (0, 1, 0)),
+            ((101, 0, 0), (0, 0, 1)),
+        ])
+
+    # at h = 1/2 point 0 fails first, on its line
+    b = skew_above_origin(Fraction(1, 2))
+    assert [mp.location for mp in b.multiple_points] == [(0, 0, 0), (100, 0, 0), (101, 0, 0)]
+    assert _guard_verdict(b, 64) == "multiple point 0 and line 2 are closer than two cube diameters"
+    # at h = 40 line 2 is far enough, and the pair is reported at point 1
+    c = skew_above_origin(40)
+    assert _guard_verdict(c, 64) == "multiple points 1 and 2 are closer than two cube diameters"
+    for arrangement in (a, b, c):
+        _assert_guard_matches_the_oracle(arrangement)
 
 
 @st.composite
