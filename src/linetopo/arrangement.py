@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import combinations
 
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicateLine, InvariantViolation
-from .geometry import COINCIDENT, Line, Point, canonicalize_line, intersect_lines
+from .geometry import COINCIDENT, Line, Point, canonicalize_line, compare_points, meet
 
 
 @dataclass(frozen=True)
@@ -106,22 +106,26 @@ def multiple_points(a: Arrangement) -> list[MultiplePoint]:
     This is the uncached O(d^2) pass; ``Arrangement.multiple_points`` caches
     its result per arrangement.  ``_unproven_pairs`` first drops the pairs
     that residues prove skew; every other pair is intersected exactly.
-    Pairwise intersections are grouped by exact coordinate equality; any
-    line through a grouped location is picked up automatically because it
-    meets each of the other incident lines there.  Output is sorted
-    lexicographically by location.
+    Pairwise intersections are grouped by their reduced integer forms,
+    which are equal iff the points are; any line through a grouped location
+    is picked up automatically because it meets each of the other incident
+    lines there.  Output is sorted lexicographically by location, compared
+    in integers, and each location is built as Fractions once.
     """
-    clusters: dict[Point, set[int]] = {}
+    clusters: dict[tuple[tuple[int, ...], int], set[int]] = {}
     for i, j in _unproven_pairs(a):
-        x = intersect_lines(a.lines[i], a.lines[j])
+        x = meet(a.lines[i], a.lines[j])
         if x is None:
             continue
         if x is COINCIDENT:
             raise InvariantViolation(f"arrangement lines {i} and {j} coincide")
         clusters.setdefault(x, set()).update((i, j))
     return [
-        MultiplePoint(location=loc, incident=tuple(sorted(clusters[loc])))
-        for loc in sorted(clusters)
+        MultiplePoint(
+            location=tuple(Fraction(xk, D) for xk in X),
+            incident=tuple(sorted(clusters[X, D])),
+        )
+        for X, D in sorted(clusters, key=cmp_to_key(compare_points))
     ]
 
 

@@ -9,7 +9,6 @@ error object on stdout).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -25,6 +24,7 @@ from .io_json import (
     invariant_report_to_json,
     parse_arrangement,
     parse_rational,
+    render,
     sweep_plan_to_json,
     verification_to_json,
 )
@@ -44,7 +44,7 @@ def _read_input(path: str) -> str:
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(render(doc) + "\n")
 
 
 def _header(text: str) -> dict:

@@ -6,7 +6,8 @@ denominators: it writes a vector given as (numerator, denominator) pairs as
 integer numerators over one positive denominator.  ``integer_form`` feeds it
 rationals, and the parser feeds it the pairs it reads.  A ``Line`` holds its
 canonical base in that integer form, computed in integers from the input, and
-builds ``Fraction``s only when its ``base`` view is read.  ``Fraction`` is
+builds ``Fraction``s only when its ``base`` view is read.  ``meet`` gives
+an intersection point in the same reduced integer form.  ``Fraction`` is
 otherwise built only for the rationals returned: points and line
 parameters.  There is no tolerance anywhere.  Multiplicity data changes the
 topology of a complement, so near-miss intersections must never be merged
@@ -154,16 +155,18 @@ def line_from_integer_form(P, D, U) -> Line:
     return Line(integer_base=(tuple(b // g for b in B), Db // g), direction=d)
 
 
-#: Sentinel returned by intersect_lines when the two lines are equal as sets.
+#: Sentinel returned by meet and intersect_lines when the two lines are equal
+#: as sets.
 COINCIDENT = object()
 
 
-def intersect_lines(a: Line, b: Line):
-    """Exact line/line intersection.
+def meet(a: Line, b: Line):
+    """Exact line/line intersection in integers.
 
-    Returns the intersection Point if the lines meet in exactly one point,
-    ``COINCIDENT`` if they are equal, and ``None`` if they are parallel
-    distinct or skew.
+    Returns the intersection point as (X, D), integer numerators over
+    D > 0 with gcd(*X, D) == 1, so equal points have equal forms;
+    ``COINCIDENT`` if the lines are equal, and ``None`` if they are
+    parallel distinct or skew.
 
     With the bases as A / Da and B / Db, base_a + t*u = base_b + s*v reads
     T u - S v = det r, where r = B Da - A Db, det is the first nonzero 2x2
@@ -193,8 +196,36 @@ def intersect_lines(a: Line, b: Line):
     S = u[i] * r[j] - u[j] * r[i]
     if any(T * uk - S * vk != rk * det for uk, vk, rk in zip(u, v, r)):
         return None  # consistent in the pivot rows only: skew
+    if det < 0:
+        det, T = -det, -T
+    X = [ak * det * Db + T * uk for ak, uk in zip(A, u)]
     den = det * Da * Db
-    return tuple(Fraction(ak * det * Db + T * uk, den) for ak, uk in zip(A, u))
+    g = gcd(*X, den)
+    return tuple(x // g for x in X), den // g
+
+
+def compare_points(p, q) -> int:
+    """-1, 0 or 1 as the point p precedes, equals or follows q in
+    lexicographic order, for points given as integer forms (X, D) with
+    D > 0: entry k compares X_k E against Y_k D."""
+    (X, D), (Y, E) = p, q
+    for x, y in zip(X, Y):
+        xe, yd = x * E, y * D
+        if xe != yd:
+            return -1 if xe < yd else 1
+    return 0
+
+
+def intersect_lines(a: Line, b: Line):
+    """Exact line/line intersection: the Point where the lines meet in
+    exactly one point, ``COINCIDENT`` if they are equal, and ``None`` if
+    they are parallel distinct or skew.  This is ``meet`` with the point
+    as Fractions."""
+    x = meet(a, b)
+    if x is None or x is COINCIDENT:
+        return x
+    X, D = x
+    return tuple(Fraction(xk, D) for xk in X)
 
 
 def line_box_params(line: Line, lo, hi):

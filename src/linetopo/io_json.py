@@ -3,6 +3,9 @@
 Rationals travel as decimal strings "p" or "p/q" (q > 0) in every file
 format, so values survive round trips exactly.  Reports carry no timestamps;
 identical input, flags, and tool version give byte-identical output.
+Every report and arrangement file is written by ``render``, which gives the
+bytes of ``json.dumps(doc, indent=2)`` without the standard library's
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .arrangement import Arrangement, InvariantReport, arrangement_of_lines, betti_vector
 from .errors import LinetopoError, ParseError, ZeroDirection
@@ -140,7 +144,41 @@ def arrangement_to_json(a: Arrangement, name: str | None = None, **metadata) -> 
 
 
 def serialize_arrangement(a: Arrangement, name: str | None = None, **metadata) -> str:
-    return json.dumps(arrangement_to_json(a, name, **metadata), indent=2) + "\n"
+    return render(arrangement_to_json(a, name, **metadata)) + "\n"
+
+
+def render(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2)`` for a tree of str, int, bool,
+    None, lists, tuples and dicts with str keys.  Types are matched
+    exactly; anything else, a float included, raises TypeError."""
+    return _render(doc, "\n")
+
+
+def _render(x, nl: str) -> str:
+    kind = type(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    inner = nl + "  "
+    if kind is list or kind is tuple:
+        if not x:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in x]) + nl + "]"
+    if kind is dict:
+        if not x:
+            return "{}"
+        items = []
+        for k, v in x.items():
+            if type(k) is not str:
+                raise TypeError(f"report keys must be str, not {type(k).__name__}")
+            items.append(encode_basestring_ascii(k) + ": " + _render(v, inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"{kind.__name__} has no place in a report")
 
 
 def invariant_report_to_json(rep: InvariantReport) -> dict:

@@ -10,6 +10,7 @@ and d counts the maximal elements of the poset minus T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arrangement import Arrangement
 
@@ -28,6 +29,18 @@ class IntersectionPoset:
 
     def strictly_below(self, x: str) -> set[str]:
         return {a for (a, y) in self.relations if y == x}
+
+    @cached_property
+    def _up_down(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+        """Strict up-set and down-set of every element, from one pass over
+        the relations, computed once per poset; the poset is frozen, so the
+        cache never goes stale.  Callers must not mutate the sets."""
+        up: dict[str, set[str]] = {el: set() for el in self.elements}
+        down: dict[str, set[str]] = {el: set() for el in self.elements}
+        for x, y in self.relations:
+            up[x].add(y)
+            down[y].add(x)
+        return up, down
 
 
 def build_poset(a: Arrangement) -> IntersectionPoset:
@@ -48,16 +61,6 @@ def build_poset(a: Arrangement) -> IntersectionPoset:
     return IntersectionPoset(elements=tuple(elements), relations=frozenset(relations))
 
 
-def _up_down(p: IntersectionPoset) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-    """Strict up-set and down-set of every element, from one pass over the relations."""
-    up: dict[str, set[str]] = {el: set() for el in p.elements}
-    down: dict[str, set[str]] = {el: set() for el in p.elements}
-    for x, y in p.relations:
-        up[x].add(y)
-        down[y].add(x)
-    return up, down
-
-
 def recover_multiplicities(p: IntersectionPoset) -> dict[int, int]:
     """Recover the map i -> t_i from the order relation alone.
 
@@ -65,7 +68,7 @@ def recover_multiplicities(p: IntersectionPoset) -> dict[int, int]:
     excluding T, has size exactly i (only i >= 2 occurs for honest multiple
     points; isolated lines are minimal with empty up-set and are skipped).
     """
-    up, down = _up_down(p)
+    up, down = p._up_down
     t: dict[int, int] = {}
     for el in p.elements:
         if el == TOP or down[el]:
@@ -78,14 +81,14 @@ def recover_multiplicities(p: IntersectionPoset) -> dict[int, int]:
 
 def recover_line_count(p: IntersectionPoset) -> int:
     """Recover d as the number of maximal elements of P minus T."""
-    up, _ = _up_down(p)
+    up, _ = p._up_down
     return sum(1 for el in p.elements if el != TOP and up[el] == {TOP})
 
 
 def hasse_edges(p: IntersectionPoset) -> list[tuple[str, str]]:
     """Covering pairs of the order (its transitive reduction), ordered by the
     positions of their ends in ``p.elements``."""
-    up, _ = _up_down(p)
+    up, _ = p._up_down
     edges = [
         (x, y)
         for (x, y) in p.relations

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import gcd
 from operator import mul
 
@@ -119,23 +119,23 @@ def build_space_graph(a: Arrangement) -> SpaceGraph:
     """
     mps = a.multiple_points
     vertices = tuple(mp.location for mp in mps)
-    cuts_of: list[list[tuple[Fraction, int]]] = [[] for _ in a.lines]
+    # The points come in lexicographic order.  Along a canonical line, whose
+    # first nonzero direction entry is positive, lexicographic order is the
+    # order of the parameter, so each line's cuts arrive sorted.
+    cuts_of: list[list[int]] = [[] for _ in a.lines]
     for vi, mp in enumerate(mps):
         for li in mp.incident:
-            cuts_of[li].append((a.lines[li].param_of(mp.location), vi))
+            cuts_of[li].append(vi)
     edges: list[GraphEdge] = []
     for line, cuts in zip(a.lines, cuts_of):
-        cuts.sort()
         if not cuts:
             edges.append(GraphEdge(carrier=line, vertices=()))
             continue
         down = tuple(-c for c in line.direction)
-        edges.append(GraphEdge(carrier=line, vertices=(cuts[0][1],), ray_dir=down))
-        for (_, vi), (_, vj) in zip(cuts, cuts[1:]):
+        edges.append(GraphEdge(carrier=line, vertices=(cuts[0],), ray_dir=down))
+        for vi, vj in zip(cuts, cuts[1:]):
             edges.append(GraphEdge(carrier=line, vertices=(vi, vj)))
-        edges.append(
-            GraphEdge(carrier=line, vertices=(cuts[-1][1],), ray_dir=line.direction)
-        )
+        edges.append(GraphEdge(carrier=line, vertices=(cuts[-1],), ray_dir=line.direction))
     return SpaceGraph(dimension=a.dimension, vertices=vertices, edges=tuple(edges))
 
 
@@ -257,8 +257,9 @@ def sweep_events(x: SpaceGraph, v) -> SweepPlan:
 
     The re-check reuses the integer heights, and s and r come from one pass
     over the edges: a segment adds to s at its lower end and to r at its
-    upper end, a half-line to s or r by the sign of its direction.  With the
-    sort of the levels, a call costs O(V log V + E).
+    upper end, a half-line to s or r by the sign of its direction.  The
+    levels are sorted by cross-multiplying the integer heights, and each
+    event's level Fraction is built once, so a call costs O(V log V + E).
     """
     v = as_point(v)
     w, c = _integer_direction(x, v)
@@ -285,10 +286,14 @@ def sweep_events(x: SpaceGraph, v) -> SweepPlan:
                 rays_down += 1
         else:
             rays_down += 1  # a full line has exactly one downward end
-    levels = [Fraction(h, den * c) for h, den in zip(heights, dens)]
+    # p below q iff h_p / D_p < h_q / D_q; condition (ii) makes this strict
+    order = sorted(
+        range(len(heights)),
+        key=cmp_to_key(lambda p, q: heights[p] * dens[q] - heights[q] * dens[p]),
+    )
     events = tuple(
-        SweepEvent(vertex=u, level=levels[u], s=s[u], r=r[u])
-        for u in sorted(range(len(levels)), key=levels.__getitem__)
+        SweepEvent(vertex=u, level=Fraction(heights[u], dens[u] * c), s=s[u], r=r[u])
+        for u in order
     )
     return SweepPlan(direction=v, events=events, initial_rays_down=rays_down)
 

@@ -28,7 +28,7 @@ from linetopo import (
 )
 from linetopo.arrangement import MultiplePoint, transform
 from linetopo.cli import run_cli
-from conftest import X_AXIS3, Y_AXIS3, Z_AXIS3, seeded_corpus
+from conftest import X_AXIS3, Y_AXIS3, Z_AXIS3, hub_arrangements, seeded_corpus
 
 
 def test_build_rejects_duplicate_parametrizations():
@@ -374,3 +374,12 @@ def test_parse_and_pass_build_no_fraction_on_skew_lines(monkeypatch):
     monkeypatch.undo()
     assert built == []
     assert mps == () and a == a0
+
+
+@settings(max_examples=150, deadline=None)
+@given(hub_arrangements())
+def test_integer_clusters_match_the_oracle_in_every_dimension(a):
+    # the plane too, with vertical lines, negative coordinates and large
+    # denominators: clusters keyed and sorted in integers give the
+    # oracle's Fraction-keyed, Fraction-sorted points
+    assert multiple_points(a) == _multiple_points_oracle(a)

@@ -16,6 +16,7 @@ import linetopo
 
 from linetopo import CubicalComplex, build_arrangement, generate_random, serialize_arrangement
 from linetopo.cli import run_cli
+from conftest import seeded_corpus
 
 PENCIL3 = serialize_arrangement(
     build_arrangement(
@@ -395,3 +396,70 @@ def test_run_cli_builds_its_parser_once(capsys, tmp_path, monkeypatch):
     finally:
         linetopo.cli._parser.cache_clear()
     assert built == [1]
+
+
+# Every subcommand on seeded arrangements in n = 2-4 and on rationals beyond
+# 2^64, plus error documents whose messages hold non-ASCII text.
+_WIDE2 = serialize_arrangement(build_arrangement(2, [
+    ((Fraction(2**70, 3), -(2**65)), (1, 7)),
+    ((0, Fraction(-1, 2**66 + 1)), (2**64 + 1, -3)),
+    ((5, 0), (0, 1)),
+]))
+_NON_ASCII = (
+    '{"dimension": 2, "lines": [{"point": ["\u00e9\u65e5", "0"], "direction": ["1", "0"]}]}'
+)
+
+
+def _report_runs(capsys, tmp_path):
+    """(argv, exit code, stdout) of each CLI call in the writer pins."""
+    texts = [
+        serialize_arrangement(a)
+        for n in (2, 3, 4)
+        for a in seeded_corpus(n, 3, 5, seed0=8100 + n)
+    ] + [_WIDE2, LONG_CROSSINGS2, _NON_ASCII]
+    calls = []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"input{k}.json"
+        path.write_text(text, encoding="utf-8")
+        calls += [
+            [*argv, str(path)]
+            for argv in (["analyze"], ["analyze", "--grid", "8"], ["poset"], ["sweep"],
+                         ["verify", "--grid", "8"])
+        ]
+    calls += [
+        ["gen", "--dim", "3", "--count", "5", "--profile", "mixed", "--seed", "4"],
+        ["gen", "--dim", "2", "--count", "4", "--profile", "pencil(3)", "--seed", "9"],
+        ["gen", "--dim", "2", "--count", "3", "--profile", "p\u00e9ncil", "--seed", "1"],
+        ["analyze", str(tmp_path / "\u65e5\u672c.json")],
+    ]
+    for argv in calls:
+        code = run_cli(argv)
+        yield argv, code, capsys.readouterr().out
+
+
+def test_every_report_bypasses_the_json_encoder(capsys, tmp_path, monkeypatch):
+    seen = []
+    real = json.JSONEncoder.iterencode
+
+    def counting(self, o, _one_shot=False):
+        seen.append(o)
+        return real(self, o, _one_shot)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting)
+    json.dumps({"a": 1}, indent=2)
+    assert len(seen) == 1  # the wrapper sees json.dumps
+    seen.clear()
+    codes = {code for _, code, _ in _report_runs(capsys, tmp_path)}
+    assert codes >= {0, 2}  # reports and error documents both ran
+    assert seen == []
+
+
+def test_every_report_is_json_dumps_indent_2(capsys, tmp_path):
+    errors = set()
+    for argv, code, out in _report_runs(capsys, tmp_path):
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n", argv
+        if code == 2:
+            errors.add(doc["error"]["type"])
+            assert out.isascii()
+    assert errors >= {"ParseError", "InvalidProfile", "OSError"}

@@ -16,8 +16,10 @@ from linetopo import (
 from linetopo.generate import SplitMix64
 from linetopo.geometry import (
     as_point,
+    compare_points,
     integer_form,
     line_box_params,
+    meet,
     primitive_direction,
 )
 
@@ -292,3 +294,28 @@ def test_line_parameters_match_the_fraction_view(data):
     x = line.point_at(t)
     assert x == tuple(b + t * dx for b, dx in zip(line.base, line.direction))
     assert line.param_of(x) == t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_line_pairs())
+def test_meet_is_the_reduced_form_of_intersect_lines(case):
+    a, b, _ = case
+    point, view = meet(a, b), intersect_lines(a, b)
+    if point is None or point is COINCIDENT:
+        assert view is point
+    else:
+        X, D = point
+        assert D > 0 and gcd(*X, D) == 1
+        assert tuple(Fraction(x, D) for x in X) == view
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compare_points_orders_as_the_fraction_tuples(data):
+    # q shares a drawn prefix with p, so later entries decide too
+    n = data.draw(st.integers(1, 5))
+    p = data.draw(st.lists(_wide_rationals, min_size=n, max_size=n))
+    k = data.draw(st.integers(0, n))
+    q = p[:k] + data.draw(st.lists(_wide_rationals, min_size=n - k, max_size=n - k))
+    fp, fq = tuple(map(Fraction, p)), tuple(map(Fraction, q))
+    assert compare_points(integer_form(p), integer_form(q)) == (fp > fq) - (fp < fq)

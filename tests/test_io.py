@@ -19,7 +19,7 @@ from linetopo import (
     parse_arrangement,
     serialize_arrangement,
 )
-from linetopo.io_json import format_rational, input_digest, parse_rational
+from linetopo.io_json import format_rational, input_digest, parse_rational, render
 from conftest import seeded_corpus
 
 
@@ -316,3 +316,43 @@ def test_generate_invalid_profiles():
         generate_random(2, 3, "pencil(9)", 0)
     with pytest.raises(InvalidProfile):
         generate_random(2, 0, "generic", 0)
+
+
+# Strings mix arbitrary code points, lone surrogates included, with the
+# characters JSON must escape and the ones it must not touch.
+_TRICKY_CHARS = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9", "\u2028",
+                 "\ud800", "\udfff", "\U0001f600", "\u65e5"]
+_TEXT = st.lists(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from(_TRICKY_CHARS))
+).map("".join)
+_LEAVES = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([True, False, 1, 0, -1, None]),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES)
+def test_render_matches_json_dumps_indent_2(doc):
+    assert render(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, [1, {"a": 0.0}], {1, 2}, {"a": frozenset()}, {1: "a"}, {"a": {None: 1}}, b"x"],
+    ids=["float", "nested-float", "set", "nested-set", "int-key", "nested-none-key", "bytes"],
+)
+def test_render_refuses_what_a_report_never_holds(doc):
+    with pytest.raises(TypeError):
+        render(doc)

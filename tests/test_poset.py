@@ -107,3 +107,17 @@ def test_chains_and_up_set_sizes():
                 assert not p.strictly_below(b) or el == "T"
         for pi, mp in enumerate(mps):
             assert len(p.strictly_above(f"p{pi}") - {"T"}) == mp.multiplicity
+
+
+def test_up_and_down_sets_are_computed_once_per_poset(pencil3, coplanar3):
+    # the three readers share one pass over the relations, and two posets
+    # never share one
+    p, q = build_poset(pencil3), build_poset(coplanar3)
+    first = p._up_down
+    assert (hasse_edges(p), recover_line_count(p), recover_multiplicities(p)) == (
+        [("p0", "l0"), ("p0", "l1"), ("p0", "l2"), ("l0", "T"), ("l1", "T"), ("l2", "T")],
+        3,
+        {3: 1},
+    )
+    assert p._up_down is first
+    assert recover_multiplicities(q) == {2: 3} and q._up_down is not first

@@ -18,8 +18,8 @@ from linetopo import (
 )
 from linetopo.errors import LinetopoError
 from linetopo.geometry import as_point, dot, sub
-from linetopo.sweep import SpaceGraph, SweepEvent, SweepPlan, Violation
-from conftest import second_generic_direction, seeded_corpus
+from linetopo.sweep import GraphEdge, SpaceGraph, SweepEvent, SweepPlan, Violation
+from conftest import hub_arrangements, second_generic_direction, seeded_corpus
 
 
 # Reference oracles: the direct O(V^2) genericity check and O(V*E) event pass
@@ -344,3 +344,44 @@ def test_sweep_plans_match_oracle_on_corpus(n, seed0):
         _assert_matches_oracle(graph, second_generic_direction(graph, v))
         for u in user_directions:
             _assert_matches_oracle(graph, u)
+
+
+def _space_graph_oracle(a):
+    """build_space_graph as it was when each line's cuts were sorted by
+    their Fraction parameter, not taken in the points' order."""
+    mps = a.multiple_points
+    cuts_of = [[] for _ in a.lines]
+    for vi, mp in enumerate(mps):
+        for li in mp.incident:
+            cuts_of[li].append((a.lines[li].param_of(mp.location), vi))
+    edges = []
+    for line, cuts in zip(a.lines, cuts_of):
+        cuts.sort()
+        if not cuts:
+            edges.append(GraphEdge(carrier=line, vertices=()))
+            continue
+        down = tuple(-c for c in line.direction)
+        edges.append(GraphEdge(carrier=line, vertices=(cuts[0][1],), ray_dir=down))
+        for (_, vi), (_, vj) in zip(cuts, cuts[1:]):
+            edges.append(GraphEdge(carrier=line, vertices=(vi, vj)))
+        edges.append(GraphEdge(carrier=line, vertices=(cuts[-1][1],), ray_dir=line.direction))
+    return SpaceGraph(
+        dimension=a.dimension,
+        vertices=tuple(mp.location for mp in mps),
+        edges=tuple(edges),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(hub_arrangements(), st.lists(st.integers(-7, 7), min_size=4, max_size=4))
+def test_integer_orders_match_the_fraction_sorts(a, raw_direction):
+    # cuts taken in the points' lexicographic order give the
+    # param_of-sorted edges, and events sorted by cross-multiplied heights
+    # the Fraction-sorted levels, for the search's direction and for a drawn
+    # one with negative entries
+    graph = build_space_graph(a)
+    assert graph == _space_graph_oracle(a)
+    _assert_matches_oracle(graph, find_generic_direction(graph))
+    v = raw_direction[: a.dimension]
+    if any(v):
+        _assert_matches_oracle(graph, v)
