@@ -34,6 +34,14 @@ Alexander duality over GF(2) (Hatcher, Algebraic Topology 3.3, on the cubical
 dual of Kaczynski, Mischaikow and Mrozek, Computational Homology), the
 reduced Betti numbers of the complex are b~_k = dim H_{n-1-k}(U, pad), in
 every ambient dimension.
+
+The boolean doubled grid of the complex is the only dense array built: it
+is the result, and every other step looks cells up in it.  Rasterization
+works on flat slot indices near U: the marks, their star (which is U), the
+orphans (cells that are a face of no free cube) and the walk that drops
+slivers.  betti_numbers lists U in one pass over the grid, and checks that
+the complex is closed under faces in the same lookups that build the dual
+boundary maps.
 """
 
 from __future__ import annotations
@@ -53,7 +61,9 @@ from .geometry import Line, Point, dot, integer_form
 BettiVector = tuple[int, ...]
 
 # Largest doubled grid rasterize_complement allocates.  A verify peaks at
-# about 8 bytes per slot (measured at n = 3, m = 128), so about half a GB.
+# about 2 bytes per slot, the grid and its complement while betti_numbers
+# lists U (tracemalloc peak of verify_arrangement on three coplanar lines at
+# n = 3, m = 128), so about 128 MiB.
 _MAX_SLOTS = 1 << 26
 
 
@@ -80,12 +90,6 @@ class CubicalComplex:
         n = self.dimension
         dims = sum(odd.reshape((-1,) + (1,) * (n - 1 - ax)) for ax in range(n))
         return tuple(np.flatnonzero(self.grid & (dims == k)) for k in range(n + 1))
-
-
-def _slab(mask: int, n: int) -> tuple[slice, ...]:
-    """Doubled-grid slots of the cells with extent mask ``mask``: the m odd
-    indices on extent axes, the m+1 even (plane) indices on the others."""
-    return tuple(slice((mask >> ax) & 1, None, 2) for ax in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +192,9 @@ def _slot(num: int, den: int) -> int:
     return 2 * q + (rem != 0)
 
 
-def _mark_line(hit: np.ndarray, line: Line, box_lo, side: Fraction, m: int):
-    """Mark in the doubled grid ``hit`` the open cell at each point where the
-    line meets a grid plane inside the box, exactly.
+def _mark_line(line: Line, box_lo, side: Fraction, m: int) -> tuple[list[int], ...]:
+    """Doubled-grid coordinates, one list per axis, of the open cells at each
+    point where the line meets a grid plane inside the box, exactly.
 
     In grid units the line is u(t) = (p + t w) / den, with integer p, w and
     den > 0, and it meets plane i of axis a at t = (i den - p_a) / w_a.  The
@@ -199,7 +203,8 @@ def _mark_line(hit: np.ndarray, line: Line, box_lo, side: Fraction, m: int):
     cells at both ends as faces.  So the star of the marked cells is exactly
     the set of closed cells the line meets.  Scaling the parameter to
     tau = W t, with W the lcm of the nonzero |w_a|, makes every crossing an
-    integer.
+    integer.  A cell at a crossing of several planes is listed once per
+    plane.
     """
     n = line.dimension
     units = [(b - lo) / side for b, lo in zip(line.base, box_lo)]
@@ -210,45 +215,74 @@ def _mark_line(hit: np.ndarray, line: Line, box_lo, side: Fraction, m: int):
     for pa, wa in zip(p, w):
         if wa == 0:
             if not 0 <= pa <= m * den:
-                return
+                return ([],) * n
             continue
         taus = [(i * den - pa) * (scale // wa) for i in range(m + 1)]
         spans.append(sorted((taus[0], taus[-1])))
         crossings += taus
     first, last = max(s[0] for s in spans), min(s[1] for s in spans)
-    if first > last:
-        return
     taus = [t for t in crossings if first <= t <= last]
-    hit[tuple(
-        [_slot(scale * pa + t * wa, scale * den) for t in taus] for pa, wa in zip(p, w)
-    )] = True
+    return tuple([_slot(scale * pa + t * wa, scale * den) for t in taus] for pa, wa in zip(p, w))
 
 
-def _star(hit: np.ndarray) -> np.ndarray:
-    """The marked slots with all their cofaces.  A coface of a cell keeps
-    each odd coordinate and may move each even one to an odd neighbour, so
-    one pass per axis ORs every even slot into its two odd neighbours."""
-    star = hit.copy()
-    for ax in range(star.ndim):
-        view = np.moveaxis(star, ax, 0)
-        view[1::2] |= view[0:-1:2] | view[2::2]
+def _star(marks: np.ndarray, size: int, n: int) -> np.ndarray:
+    """Flat indices of the marked slots of an n-dimensional doubled grid of
+    side ``size`` and of all their cofaces, with repeats.  A coface of a cell
+    keeps each odd coordinate and may move each even one to an odd neighbour
+    inside the grid, so one step per axis adds the neighbours along that
+    axis of every slot so far whose coordinate there is even."""
+    star = marks
+    for stride in size ** np.arange(n):
+        q = star // stride % size
+        even = q % 2 == 0
+        star = np.concatenate(
+            (star, star[even & (q > 0)] - stride, star[even & (q < size - 1)] + stride)
+        )
     return star
 
 
-def _closure(cells: np.ndarray) -> np.ndarray:
-    """The marked slots with all their faces.  A face of a cell keeps each
-    even coordinate and may move each odd one to an even neighbour, so one
-    pass per axis ORs every odd slot into its two even neighbours."""
-    closure = cells.copy()
-    for ax in range(closure.ndim):
-        view = np.moveaxis(closure, ax, 0)
-        view[:-1:2] |= view[1::2]
-        view[2::2] |= view[1::2]
-    return closure
+def _runs(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``slots``, sorted, and how often each occurs:
+    a sort, then the bounds of the runs of equal values."""
+    slots = np.sort(slots)
+    bound = np.ones(slots.size + 1, dtype=bool)
+    bound[1:-1] = slots[1:] != slots[:-1]
+    first = np.flatnonzero(bound)  # run starts, then slots.size
+    return slots[first[:-1]], np.diff(first)
 
 
-def _certified(free: np.ndarray) -> np.ndarray:
-    """Drop components of the complex that contain no whole free cube.
+def _orphans(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of the orphans of the complex ``grid``, the cells
+    that are a face of no free cube; ``u`` lists the slots off the complex,
+    with repeats allowed.
+
+    Every cell is a face of some cube, so the orphans are exactly the faces
+    of stabbed cubes (the all-odd slots of U) that lie outside U and whose
+    every incident cube is stabbed.  A face of a cube moves each of its odd
+    coordinates to an even neighbour or keeps it, so listing the faces of
+    each stabbed cube once lists each face once per stabbed cube it bounds.
+    A cube incident to a cell moves each of its even coordinates to an odd
+    neighbour inside the grid, so a cell has 2^k incident cubes, k its even
+    coordinates off the box boundary.  A face outside U is an orphan iff the
+    two counts agree; only the stabbed cubes and their faces are visited.
+    """
+    shape, size = grid.shape, grid.shape[0]
+    flat = grid.reshape(-1)
+    odd = np.logical_and.reduce([x & 1 for x in np.unravel_index(u, shape)])
+    faces, _ = _runs(u[odd])  # the stabbed cubes, once each
+    for stride in size ** np.arange(grid.ndim):
+        faces = np.concatenate((faces, faces - stride, faces + stride))
+    # each face outside U, and the number of stabbed cubes it bounds
+    faces, stabbed = _runs(faces[flat[faces]])
+    inner = np.zeros(size, dtype=np.intp)  # 1 at even coordinates off the boundary
+    inner[2:-2:2] = 1
+    return faces[stabbed == 1 << sum(inner[x] for x in np.unravel_index(faces, shape))]
+
+
+def _drop_slivers(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Drop, in place, the components of the complex ``grid`` that contain no
+    whole free cube, and return ``grid``; ``u`` lists the slots off the
+    complex, with repeats allowed.
 
     A line-free sliver thinner than one cube everywhere (isolated vertices or
     edges deep inside a stabbed tube) belongs to some neighbouring region of
@@ -259,17 +293,13 @@ def _certified(free: np.ndarray) -> np.ndarray:
     cube is in it and joined to that cube: the closure C of the free cubes is
     kept.  Any other cell of the complex, an orphan, is a face of stabbed
     cubes only, and it is kept iff a chain of orphans joins it to C by face
-    adjacency, one step along one axis of the doubled grid.  A walk from the
-    orphans next to C through the others finds them all, in time linear in
-    the grid plus the orphans.
+    adjacency, one step along one axis of the doubled grid.  A cell is in C
+    iff it is in the complex and no orphan, so a walk from the orphans next
+    to C through the others finds them all, in time linear in the orphans.
     """
-    n = free.ndim
-    cubes = np.zeros_like(free)
-    top = _slab((1 << n) - 1, n)
-    cubes[top] = free[top]
-    kept = _closure(cubes)
-    flat = kept.reshape(-1)  # a view: writes land in kept
-    size = free.shape[0]
+    n, size = grid.ndim, grid.shape[0]
+    flat = grid.reshape(-1)  # a view: writes land in grid
+    orphans = set(_orphans(grid, u).tolist())
 
     def neighbours(s):
         for stride in (size**ax for ax in range(n)):
@@ -279,17 +309,39 @@ def _certified(free: np.ndarray) -> np.ndarray:
             if q < size - 1:
                 yield s + stride
 
-    left = set(np.flatnonzero(free & ~kept).tolist())
-    stack = [s for s in left if any(flat[t] for t in neighbours(s))]
-    left.difference_update(stack)
+    stack = [s for s in orphans if any(flat[t] and t not in orphans for t in neighbours(s))]
+    left = orphans.difference(stack)
     while stack:
         s = stack.pop()
-        flat[s] = True
         for t in neighbours(s):
             if t in left:
                 left.remove(t)
                 stack.append(t)
-    return kept
+    flat[list(left)] = False
+    return grid
+
+
+def _certified(free: np.ndarray) -> np.ndarray:
+    """The cells of the face-closed complex ``free`` whose component owns a
+    whole free cube, as a new doubled grid: ``_drop_slivers`` for a caller
+    that holds only the dense grid."""
+    return _drop_slivers(free.copy(), np.flatnonzero(~free))
+
+
+def _rasterize(a: Arrangement, box_lo, side: Fraction, m: int) -> np.ndarray:
+    """The doubled grid of the certified complex: every cell whose closed
+    cell meets no line, less the slivers.  It is the only dense array built:
+    the star of the marks, the orphans and the walk run on flat slot indices
+    of U and look cells up in it."""
+    n = a.dimension
+    marks = [[] for _ in range(n)]
+    for line in a.lines:
+        for axis, slots in zip(marks, _mark_line(line, box_lo, side, m)):
+            axis += slots
+    grid = np.ones((2 * m + 1,) * n, dtype=bool)
+    u = _star(np.ravel_multi_index(np.array(marks, dtype=np.intp), grid.shape), 2 * m + 1, n)
+    grid.reshape(-1)[u] = False
+    return _drop_slivers(grid, u)
 
 
 def rasterize_complement(a: Arrangement, m: int) -> CubicalComplex:
@@ -316,15 +368,12 @@ def rasterize_complement(a: Arrangement, m: int) -> CubicalComplex:
     box_lo, total = _bounding_cube(a)
     cube_side = total / m
     _coarseness_guard(a, cube_side, total)
-    hit = np.zeros((2 * m + 1,) * n, dtype=bool)
-    for line in a.lines:
-        _mark_line(hit, line, box_lo, cube_side, m)
     return CubicalComplex(
         dimension=n,
         resolution=m,
         box_lo=box_lo,
         cube_side=cube_side,
-        grid=_certified(~_star(hit)),
+        grid=_rasterize(a, box_lo, cube_side, m),
     )
 
 
@@ -353,35 +402,40 @@ def betti_numbers(c: CubicalComplex) -> BettiVector:
     """GF(2) Betti numbers (b_0, ..., b_n) of the complex, from the ranks of
     the dual boundary maps of its complement (see the module docstring).
 
+    The complex is closed under faces iff U is closed under cofaces, iff
+    every dual face inside the grid of every slot of U is in U.  Those are
+    exactly the slots the dual boundary maps look up, so the check costs no
+    extra pass.
+
     Raises:
         InvariantViolation: the complex is not closed under faces.
     """
     n = c.dimension
-    if not c.grid.any():
+    flat = np.flatnonzero(~c.grid)
+    if flat.size == c.grid.size:
         return (0,) * (n + 1)
-    outside = ~c.grid
-    if (c.grid & _star(outside)).any():
-        raise InvariantViolation("a cell of the complex has a face outside it")
-    flat = np.flatnonzero(outside)
-    coords = np.unravel_index(flat, outside.shape)
-    even = np.stack([(x & 1) == 0 for x in coords])
-    dual_dim = even.sum(axis=0)
-    size = outside.shape[0]  # 2m + 1
-    strides = size ** np.arange(n - 1, -1, -1)  # C order, in slots
+    size = c.grid.shape[0]  # 2m + 1
+    coords = np.stack(np.unravel_index(flat, c.grid.shape), axis=1)
+    even = (coords & 1) == 0
+    dual_dim = even.sum(axis=1)
     by_dim = [flat[dual_dim == j] for j in range(n + 1)]
+    # the candidate dual faces of every slot, one column per axis and step
+    axis, step = np.repeat(np.arange(n), 2), np.tile([-1, 1], n)
+    moved = coords[:, axis] + step
+    inside = even[:, axis] & (0 <= moved) & (moved < size)
+    target = flat[:, None] + step * size ** (n - 1 - axis)  # C order, in slots
     ranks = [0] * (n + 2)  # ranks[j]: rank of the dual boundary C_j -> C_{j-1}
     for j in range(1, n + 1):
         sel = dual_dim == j
-        faces = []  # row of each dual face, -1 where there is none
-        for ax in range(n):
-            x, ev = coords[ax][sel], even[ax][sel]
-            for step in (-1, 1):
-                rows = np.searchsorted(by_dim[j - 1], by_dim[j] + step * strides[ax])
-                faces.append(np.where(ev & (0 <= x + step) & (x + step < size), rows, -1))
+        faces, real = target[sel], inside[sel]
+        lower = np.append(by_dim[j - 1], c.grid.size)  # a sentinel past every slot
+        rows = np.searchsorted(lower, faces)
+        if (lower[rows[real]] != faces[real]).any():
+            raise InvariantViolation("a cell of the complex has a face outside it")
         # gf2_rank pivots on the highest row; feeding the columns from the
         # highest slot down keeps its fill-in small on these banded matrices
-        columns = np.stack(faces, axis=1)[::-1].tolist()
-        ranks[j] = gf2_rank(sum(1 << r for r in col if r >= 0) for col in columns)
+        columns = np.where(real, rows, -1)[::-1].tolist()
+        pow2 = [1 << r for r in range(len(by_dim[j - 1]))] + [0]  # pow2[-1]: no face
+        ranks[j] = gf2_rank(sum(map(pow2.__getitem__, col)) for col in columns)
     h = [len(by_dim[j]) - ranks[j] - ranks[j + 1] for j in range(n)]
     return (1 + h[n - 1], *h[n - 2::-1], 0)
-

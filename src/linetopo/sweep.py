@@ -142,12 +142,19 @@ def build_space_graph(a: Arrangement) -> SpaceGraph:
 def graph_from_segments(n: int, points, segments) -> SpaceGraph:
     """Build a compact space graph from vertex coordinates and index pairs.
 
-    Validates that no vertex lies in the interior of a segment.
+    Validates that no two vertices coincide and that no vertex lies in the
+    interior of a segment.  Two vertices at one point lie on one level of
+    every direction, so no direction would be generic.
     """
     vertices = tuple(as_point(p) for p in points)
     for p in vertices:
         if len(p) != n:
             raise DimensionMismatch(f"vertex {p} does not have dimension {n}")
+    first_at = {}
+    for k, p in enumerate(vertices):
+        i = first_at.setdefault(p, k)
+        if i != k:
+            raise ValueError(f"vertices {i} and {k} are at the same point")
     edges = []
     for (i, j) in segments:
         if i == j:

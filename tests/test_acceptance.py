@@ -258,6 +258,24 @@ def test_sliver_certification_cost_on_a_long_wedge():
     assert elapsed < 3.0, f"the 1/241 wedge at grid 2048 took {elapsed:.2f}s, budget 3s"
 
 
+def test_homology_oracle_memory_n3_grid_128():
+    # the star, the orphans and the closure check work on the slots of U, so
+    # the dense doubled grid, one byte per slot, and its complement while
+    # betti_numbers lists U are the only arrays of that size
+    import tracemalloc
+
+    a, _ = FIXTURES_N3["three coplanar"]
+    slots = 257**3
+    tracemalloc.start()
+    try:
+        rep = verify_arrangement(a, 128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.match
+    assert peak < 3 * slots, f"verify at grid 128 peaked at {peak / slots:.2f} bytes per slot, budget 3"
+
+
 def _planar_lattice(k: int):
     """k horizontal and k vertical lines at spacing 100: k^2 double points."""
     return build_arrangement(

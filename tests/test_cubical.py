@@ -21,13 +21,13 @@ from linetopo.cubical import (
     CubicalComplex,
     _bounding_cube,
     _certified,
-    _closure,
     _coarseness_guard,
     _gram,
     _mark_line,
-    _slab,
+    _orphans,
+    _rasterize,
     _slot,
-    _star,
+    _star as _star_of_marks,
 )
 from linetopo.geometry import (
     canonicalize_line,
@@ -36,6 +36,84 @@ from linetopo.geometry import (
     primitive_direction,
 )
 from conftest import seeded_corpus
+
+
+# Dense oracles: the whole-grid passes rasterization and betti_numbers made
+# before they worked on the slots of U alone.
+
+
+def _slab(mask: int, n: int) -> tuple[slice, ...]:
+    """Doubled-grid slots of the cells with extent mask ``mask``: the m odd
+    indices on extent axes, the m+1 even (plane) indices on the others."""
+    return tuple(slice((mask >> ax) & 1, None, 2) for ax in range(n))
+
+
+def _star(hit: np.ndarray) -> np.ndarray:
+    """The marked slots with all their cofaces.  A coface of a cell keeps
+    each odd coordinate and may move each even one to an odd neighbour, so
+    one pass per axis ORs every even slot into its two odd neighbours."""
+    star = hit.copy()
+    for ax in range(star.ndim):
+        view = np.moveaxis(star, ax, 0)
+        view[1::2] |= view[0:-1:2] | view[2::2]
+    return star
+
+
+def _closure(cells: np.ndarray) -> np.ndarray:
+    """The marked slots with all their faces.  A face of a cell keeps each
+    even coordinate and may move each odd one to an even neighbour, so one
+    pass per axis ORs every odd slot into its two even neighbours."""
+    closure = cells.copy()
+    for ax in range(closure.ndim):
+        view = np.moveaxis(closure, ax, 0)
+        view[:-1:2] |= view[1::2]
+        view[2::2] |= view[1::2]
+    return closure
+
+
+def _free_cube_closure(free: np.ndarray) -> np.ndarray:
+    """The closure C of the free cubes, the all-odd slots of ``free``."""
+    n = free.ndim
+    cubes = np.zeros_like(free)
+    top = _slab((1 << n) - 1, n)
+    cubes[top] = free[top]
+    return _closure(cubes)
+
+
+def _dense_certified(free: np.ndarray) -> np.ndarray:
+    """The closure C of the free cubes, plus every other cell of ``free``
+    that a chain of such cells joins to C by face adjacency: the oracle for
+    ``_rasterize`` and ``_drop_slivers``."""
+    n = free.ndim
+    kept = _free_cube_closure(free)
+    flat = kept.reshape(-1)  # a view: writes land in kept
+    size = free.shape[0]
+
+    def neighbours(s):
+        for stride in (size**ax for ax in range(n)):
+            q = s // stride % size
+            if q > 0:
+                yield s - stride
+            if q < size - 1:
+                yield s + stride
+
+    left = set(np.flatnonzero(free & ~kept).tolist())
+    stack = [s for s in left if any(flat[t] for t in neighbours(s))]
+    left.difference_update(stack)
+    while stack:
+        s = stack.pop()
+        flat[s] = True
+        for t in neighbours(s):
+            if t in left:
+                left.remove(t)
+                stack.append(t)
+    return kept
+
+
+def _not_face_closed(grid: np.ndarray) -> bool:
+    """Whether some cell of ``grid`` has a face outside it: whether the
+    complex meets the star of its complement."""
+    return bool((grid & _star(~grid)).any())
 
 
 def _closure_cells(occ: np.ndarray) -> np.ndarray:
@@ -270,14 +348,19 @@ def test_complex_missing_a_face_raises_invariant_violation():
         _betti_direct(c)
 
 
-def _line_free(a, m: int) -> np.ndarray:
-    """Doubled grid of every line-free cell at resolution m: the complex
-    ``rasterize_complement`` certifies, without the guard."""
+def _marked(a, m: int) -> np.ndarray:
+    """Doubled grid of the cells each line marks at resolution m."""
     box_lo, total = _bounding_cube(a)
     hit = np.zeros((2 * m + 1,) * a.dimension, dtype=bool)
     for line in a.lines:
-        _mark_line(hit, line, box_lo, total / m, m)
-    return ~_star(hit)
+        hit[_mark_line(line, box_lo, total / m, m)] = True
+    return hit
+
+
+def _line_free(a, m: int) -> np.ndarray:
+    """Doubled grid of every line-free cell at resolution m: the complex
+    ``rasterize_complement`` certifies, without the guard."""
+    return ~_star(_marked(a, m))
 
 
 @st.composite
@@ -316,6 +399,110 @@ def test_certified_matches_bfs_on_coarse_rasterizations():
     assert with_slivers >= len(cases) // 4
 
 
+@st.composite
+def _tube_arrangements(draw):
+    """Lines in R^n, n = 2-4, whose tubes touch at coarse grids, and a grid
+    that the guard may accept or refuse: a pencil of 2-4 lines through a
+    small integer centre, two lines through it at slope 1/k, or two parallel
+    lines 1/k apart (k = 1-60), plus at most one more line."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    small = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    directions = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    centre, pad = draw(small), [0] * (n - 2)
+    kind = draw(st.sampled_from(["pencil", "wedge", "parallel"]))
+    if kind == "pencil":
+        pencil = draw(st.lists(directions, min_size=2, max_size=4, unique_by=primitive_direction))
+        raw = [(centre, u) for u in pencil]
+    else:
+        k, u = draw(st.integers(1, 60)), [1, 0] + pad
+        if kind == "wedge":
+            raw = [(centre, u), (centre, [k, 1] + pad)]
+        else:
+            raw = [(centre, u), ([centre[0], centre[1] + Fraction(1, k)] + centre[2:], u)]
+    raw += draw(st.lists(st.tuples(small, directions), max_size=1))
+    m = draw(st.integers(2, {2: 256, 3: 24, 4: 8}[n]))
+    return arrangement_of_lines(n, {canonicalize_line(p, u) for p, u in raw}), m
+
+
+def test_rasterization_matches_the_dense_oracle():
+    # the star of the marks, the orphans and the certified grid, each against
+    # the whole-grid passes, without the guard (as in _line_free)
+    seen = dict.fromkeys(["accepted", "refused", "with orphans", "with dropped orphans"], 0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_tube_arrangements())
+    def check(case):
+        a, m = case
+        box_lo, total = _bounding_cube(a)
+        free = _line_free(a, m)
+        u = _star_of_marks(np.flatnonzero(_marked(a, m)), 2 * m + 1, a.dimension)
+        assert np.array_equal(np.unique(u), np.flatnonzero(~free))
+        orphans = _orphans(free, u)
+        assert np.array_equal(orphans, np.flatnonzero(free & ~_free_cube_closure(free)))
+        grid = _rasterize(a, box_lo, total / m, m)
+        assert np.array_equal(grid, _dense_certified(free))
+        seen["refused" if _guard_verdict(a, m) else "accepted"] += 1
+        seen["with orphans"] += orphans.size > 0
+        seen["with dropped orphans"] += bool((free & ~grid).any())
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_orphans_on_the_benchmark_fixtures(coplanar3, generic_planar3):
+    for a, m, count in ((coplanar3, 48, 48), (generic_planar3, 256, 16)):
+        free = _line_free(a, m)
+        orphans = _orphans(free, np.flatnonzero(~free))
+        assert orphans.size == count
+        assert np.array_equal(orphans, np.flatnonzero(free & ~_free_cube_closure(free)))
+        assert np.array_equal(rasterize_complement(a, m).grid, _dense_certified(free))
+
+
+@st.composite
+def _flipped_complexes(draw):
+    """A face-closed complex, rasterized or the closure of random cubes, with
+    one slot flipped, and that slot; in about half the cases it lies on the
+    grid boundary, where some neighbour is out of range."""
+    if draw(st.booleans()):
+        a, _ = draw(_tube_arrangements())
+        m = draw(st.integers(2, {2: 10, 3: 5, 4: 3}[a.dimension]))
+        box_lo, total = _bounding_cube(a)
+        grid = _rasterize(a, box_lo, total / m, m)
+    else:
+        grid = _closure_cells(draw(_top_cube_sets()))
+    size = grid.shape[0]
+    pos = [draw(st.integers(0, size - 1)) for _ in range(grid.ndim)]
+    if draw(st.booleans()):
+        pos[draw(st.integers(0, grid.ndim - 1))] = draw(st.sampled_from([0, size - 1]))
+    pos = tuple(pos)
+    grid[pos] = not grid[pos]
+    return grid, pos
+
+
+def test_folded_invariant_check_matches_the_dense_check():
+    seen = dict.fromkeys(["raised", "returned", "raised on the boundary",
+                          "returned on the boundary"], 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_flipped_complexes())
+    def check(case):
+        grid, pos = case
+        c = _complex(grid)
+        if _not_face_closed(grid):
+            with pytest.raises(InvariantViolation):
+                betti_numbers(c)
+            outcome = "raised"
+        else:
+            assert betti_numbers(c) == _betti_direct(c)
+            outcome = "returned"
+        seen[outcome] += 1
+        if 0 in pos or grid.shape[0] - 1 in pos:
+            seen[outcome + " on the boundary"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
 def test_chord_separates_the_square():
     a = build_arrangement(2, [((0, 0), (1, 0))])
     c = rasterize_complement(a, 4)
@@ -346,10 +533,11 @@ def test_marking_matches_bruteforce_slab_test_in_every_dimension():
     m = 6
     box_lo = (Fraction(-1), Fraction(-1), Fraction(-1))
     side = Fraction(1)
-    hit = np.zeros((2 * m + 1,) * 3, dtype=bool)
-    for line in lines:
-        _mark_line(hit, line, box_lo, side, m)
-    stabbed = _star(hit)
+    marks = np.concatenate(
+        [np.ravel_multi_index(_mark_line(line, box_lo, side, m), (2 * m + 1,) * 3) for line in lines]
+    )
+    stabbed = np.zeros((2 * m + 1,) * 3, dtype=bool)
+    stabbed.reshape(-1)[_star_of_marks(marks, 2 * m + 1, 3)] = True
     for mask in range(8):
         arr = stabbed[_slab(mask, 3)]
         for pos in itertools.product(*(range(s) for s in arr.shape)):

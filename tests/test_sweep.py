@@ -154,6 +154,20 @@ def test_check_direction_vertex_pair_only():
     assert violation is not None and violation.kind == "perpendicular_edge"
 
 
+def test_repeated_vertex_is_refused():
+    # two vertices at one point share a level for every direction, so the
+    # direction search would never end; the graph is refused instead
+    with pytest.raises(ValueError, match="vertices 0 and 1 are at the same point"):
+        graph_from_segments(2, [(0, 0), (0, 0)], [])
+    # points compare as exact values, whatever type spells them
+    with pytest.raises(ValueError, match="vertices 1 and 3 are at the same point"):
+        graph_from_segments(
+            2, [(5, 0), (0, 0), (1, 2), (Fraction(0), "0")], [(0, 2)]
+        )
+    with pytest.raises(ValueError, match="vertices 0 and 2 are at the same point"):
+        graph_from_segments(3, [(1, 2, 3), (0, 0, 0), (1, Fraction(4, 2), 3)], [(0, 1)])
+
+
 def test_check_direction_zero_raises(one_line3):
     g = build_space_graph(one_line3)
     with pytest.raises(ZeroDirection):
