@@ -22,7 +22,8 @@ complement (a tested hypothesis; every acceptance fixture exercises it).
 The facets of a cell are its neighbours p +- e_a along its odd axes, so face
 incidence is exactly 6-connectivity of the doubled grid.  Slivers the grid
 cannot certify are the cells that no chain of such steps through the complex
-joins to a free cube.
+joins to a free cube, so a grid with no free cube certifies nothing and is
+refused.
 
 The homology is read off the complement U of the complex rather than the
 complex itself: U hugs the lines, O(d m) cells against O(m^n).  Since the
@@ -56,7 +57,7 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .errors import GridTooLarge, InvariantViolation, ResolutionTooCoarse
-from .geometry import Line, Point, dot, integer_form
+from .geometry import Line, dot, integer_form
 
 BettiVector = tuple[int, ...]
 
@@ -78,8 +79,6 @@ class CubicalComplex:
 
     dimension: int
     resolution: int
-    box_lo: Point
-    cube_side: Fraction
     grid: np.ndarray
 
     @cached_property
@@ -97,8 +96,8 @@ class CubicalComplex:
 
 
 def _bounding_cube(a: Arrangement):
-    """Rational cube around all multiple points and line base points, inflated
-    by one box-width of margin on each side."""
+    """(low corner, side) of a rational cube around all multiple points and
+    line base points, inflated by one box-width of margin on each side."""
     anchors = [mp.location for mp in a.multiple_points]
     anchors += [line.base for line in a.lines]
     if not anchors:
@@ -108,8 +107,8 @@ def _bounding_cube(a: Arrangement):
     hi = [max(p[i] for p in anchors) for i in range(n)]
     side = max(max(h - l for h, l in zip(hi, lo)), Fraction(1))
     total = 3 * side
-    box_lo = tuple((l + h) / 2 - total / 2 for l, h in zip(lo, hi))
-    return box_lo, total
+    corner = tuple((l + h) / 2 - total / 2 for l, h in zip(lo, hi))
+    return corner, total
 
 
 def _gram(*vectors):
@@ -124,7 +123,7 @@ def _gram(*vectors):
     return a * (e * i - f * f) - b * (b * i - f * c) + c * (b * f - e * c)
 
 
-def _coarseness_guard(a: Arrangement, cube_side: Fraction, box_side: Fraction):
+def _coarseness_guard(a: Arrangement, side: Fraction, box_side: Fraction):
     """Reject resolutions that cannot resolve the arrangement's features.
 
     Certified with exact integer comparisons: any two multiple points, any
@@ -148,7 +147,7 @@ def _coarseness_guard(a: Arrangement, cube_side: Fraction, box_side: Fraction):
     each point's pairs before its lines.
     """
     n, mps, lines = a.dimension, a.multiple_points, a.lines
-    (S, B), den = integer_form((cube_side, box_side))
+    (S, B), den = integer_form((side, box_side))
     bound = 4 * n * S * S  # (2 * cube diameter)^2 times den^2
     points = [integer_form(mp.location) for mp in mps]
 
@@ -192,7 +191,7 @@ def _slot(num: int, den: int) -> int:
     return 2 * q + (rem != 0)
 
 
-def _mark_line(line: Line, box_lo, side: Fraction, m: int) -> tuple[list[int], ...]:
+def _mark_line(line: Line, corner, side: Fraction, m: int) -> tuple[list[int], ...]:
     """Doubled-grid coordinates, one list per axis, of the open cells at each
     point where the line meets a grid plane inside the box, exactly.
 
@@ -207,7 +206,7 @@ def _mark_line(line: Line, box_lo, side: Fraction, m: int) -> tuple[list[int], .
     plane.
     """
     n = line.dimension
-    units = [(b - lo) / side for b, lo in zip(line.base, box_lo)]
+    units = [(b - c) / side for b, c in zip(line.base, corner)]
     ints, den = integer_form(units + [v / side for v in line.direction])
     p, w = ints[:n], ints[n:]
     scale = lcm(*(abs(x) for x in w if x))
@@ -321,14 +320,7 @@ def _drop_slivers(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _certified(free: np.ndarray) -> np.ndarray:
-    """The cells of the face-closed complex ``free`` whose component owns a
-    whole free cube, as a new doubled grid: ``_drop_slivers`` for a caller
-    that holds only the dense grid."""
-    return _drop_slivers(free.copy(), np.flatnonzero(~free))
-
-
-def _rasterize(a: Arrangement, box_lo, side: Fraction, m: int) -> np.ndarray:
+def _rasterize(a: Arrangement, corner, side: Fraction, m: int) -> np.ndarray:
     """The doubled grid of the certified complex: every cell whose closed
     cell meets no line, less the slivers.  It is the only dense array built:
     the star of the marks, the orphans and the walk run on flat slot indices
@@ -336,7 +328,7 @@ def _rasterize(a: Arrangement, box_lo, side: Fraction, m: int) -> np.ndarray:
     n = a.dimension
     marks = [[] for _ in range(n)]
     for line in a.lines:
-        for axis, slots in zip(marks, _mark_line(line, box_lo, side, m)):
+        for axis, slots in zip(marks, _mark_line(line, corner, side, m)):
             axis += slots
     grid = np.ones((2 * m + 1,) * n, dtype=bool)
     u = _star(np.ravel_multi_index(np.array(marks, dtype=np.intp), grid.shape), 2 * m + 1, n)
@@ -352,7 +344,8 @@ def rasterize_complement(a: Arrangement, m: int) -> CubicalComplex:
         m: cubes per axis, at least 2.
 
     Raises:
-        ResolutionTooCoarse: the grid cannot separate nearby features.
+        ResolutionTooCoarse: the grid cannot separate nearby features, or
+            no grid cube misses every line.
         GridTooLarge: the doubled grid would exceed the slot budget.
     """
     n = a.dimension
@@ -365,16 +358,14 @@ def rasterize_complement(a: Arrangement, m: int) -> CubicalComplex:
             f"a grid of {m} cubes per axis in dimension {n} needs (2m+1)^n = "
             f"{2 * m + 1}^{n} slots, more than the budget of {_MAX_SLOTS}"
         )
-    box_lo, total = _bounding_cube(a)
-    cube_side = total / m
-    _coarseness_guard(a, cube_side, total)
-    return CubicalComplex(
-        dimension=n,
-        resolution=m,
-        box_lo=box_lo,
-        cube_side=cube_side,
-        grid=_rasterize(a, box_lo, cube_side, m),
-    )
+    corner, total = _bounding_cube(a)
+    side = total / m
+    _coarseness_guard(a, side, total)
+    grid = _rasterize(a, corner, side, m)
+    # an empty complex measures all zeros, while a complement has b_0 >= 1
+    if not grid[(slice(1, None, 2),) * n].any():
+        raise ResolutionTooCoarse(f"no cube of the {m}^{n} grid misses every line")
+    return CubicalComplex(dimension=n, resolution=m, grid=grid)
 
 
 # ---------------------------------------------------------------------------

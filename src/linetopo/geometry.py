@@ -64,17 +64,10 @@ def sub(a, b) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def primitive_direction(u) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector.
-
-    Denominators are cleared, the gcd divided out, and the sign fixed so the
-    first nonzero entry is positive.  Parallel vectors therefore normalize to
-    the identical tuple.
-    """
-    return _primitive(integer_form(u)[0])
-
-
 def _primitive(ints) -> tuple[int, ...]:
+    """The primitive integer vector along nonzero ``ints``: the gcd divided
+    out and the first nonzero entry made positive, so parallel vectors give
+    the identical tuple."""
     g = gcd(*ints)
     if g == 0:
         raise ZeroDirection("direction vector is zero")

@@ -24,12 +24,6 @@ class IntersectionPoset:
     elements: tuple[str, ...]
     relations: frozenset[tuple[str, str]]  # (x, y) means x < y; full strict order
 
-    def strictly_above(self, x: str) -> set[str]:
-        return {y for (a, y) in self.relations if a == x}
-
-    def strictly_below(self, x: str) -> set[str]:
-        return {a for (a, y) in self.relations if y == x}
-
     @cached_property
     def _up_down(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
         """Strict up-set and down-set of every element, from one pass over

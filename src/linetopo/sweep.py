@@ -240,10 +240,15 @@ def find_generic_direction(x: SpaceGraph) -> tuple[int, ...]:
     """First moment-curve candidate (1, k, k^2, ...) passing check_direction.
 
     Each genericity constraint excludes the roots of a nonzero polynomial in
-    k, so only finitely many candidates fail and the search terminates.  The
-    deterministic choice makes reports reproducible.  Each candidate costs
-    O(V + E) integer operations (see check_direction); the accepted k can
-    grow to about V/3, so the search is O(V (V + E)) in the worst case.
+    k of degree at most n - 1: one per edge (its direction dotted with v) and
+    one per vertex pair (their height difference).  So at most
+    (n - 1)(E + V(V - 1)/2) candidates fail, the accepted k is at most one
+    more, and the search terminates.  The deterministic choice makes reports
+    reproducible.  Each candidate costs O(V + E) integer operations (see
+    check_direction), so the search is O(n (E + V^2)(V + E)) in the worst
+    case.  The accepted k can grow as V^2: the lines y = 0 and y = -1 and the
+    L lines through (i, 0) and (L i, -1), i = 1..L, which share one point,
+    give V = 2L + 1 and accept first k = L^2.
     """
     n = x.dimension
     k = 1

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import strategies as st
 
-from linetopo import SplitMix64, build_arrangement, canonicalize_line, generate_random
+from linetopo import (
+    SplitMix64,
+    ZeroDirection,
+    build_arrangement,
+    canonicalize_line,
+    generate_random,
+)
 from linetopo.arrangement import arrangement_of_lines
 
 X_AXIS3 = ((0, 0, 0), (1, 0, 0))
@@ -61,6 +68,25 @@ def intersection_calls(monkeypatch):
 
     monkeypatch.setattr(linetopo.arrangement, "meet", counting)
     return calls
+
+
+def primitive_direction(u) -> tuple[int, ...]:
+    """Scale a nonzero rational vector to a primitive integer vector.
+
+    Denominators are cleared, the gcd divided out, and the sign fixed so the
+    first nonzero entry is positive.  Parallel vectors therefore normalize to
+    the identical tuple.  Fraction arithmetic, apart from geometry's integer
+    forms.
+    """
+    u = [Fraction(x) for x in u]
+    den = lcm(*(x.denominator for x in u))
+    ints = [int(x * den) for x in u]
+    g = gcd(*ints)
+    if g == 0:
+        raise ZeroDirection("direction vector is zero")
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def second_generic_direction(graph, first):

@@ -197,12 +197,25 @@ def test_analyze_with_grid_includes_verification(capsys, tmp_path):
     assert doc["verification"]["match"] is True
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_with_no_free_cube_is_refused(capsys, tmp_path, command, n):
+    # at grid 2 the bounding cube is centred on the line, so the line stabs
+    # every cube; an empty complex would measure all zeros
+    text = serialize_arrangement(generate_random(n, 1, "generic", 1001))
+    code, out, _ = run(capsys, [command, "--grid", "2"], text, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ResolutionTooCoarse"
+    code, _, _ = run(capsys, [command, "--grid", "3"], text, tmp_path)
+    assert code == 0
+
+
 def test_invariant_violation_is_a_json_error(capsys, tmp_path, monkeypatch):
     # a planar complex holding an edge without its end vertices is not
     # closed under faces, which betti_numbers checks
     grid = np.zeros((5, 5), dtype=bool)
     grid[1, 2] = True
-    broken = CubicalComplex(2, 2, (Fraction(0), Fraction(0)), Fraction(1), grid)
+    broken = CubicalComplex(2, 2, grid)
     monkeypatch.setattr("linetopo.verify.rasterize_complement", lambda a, m: broken)
     planar = serialize_arrangement(build_arrangement(2, [((0, 0), (1, 0))]))
     code, out, err = run(capsys, ["verify", "--grid", "2"], planar, tmp_path)

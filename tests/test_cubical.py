@@ -20,8 +20,8 @@ from linetopo.arrangement import arrangement_of_lines
 from linetopo.cubical import (
     CubicalComplex,
     _bounding_cube,
-    _certified,
     _coarseness_guard,
+    _drop_slivers,
     _gram,
     _mark_line,
     _orphans,
@@ -33,9 +33,8 @@ from linetopo.geometry import (
     canonicalize_line,
     intersect_lines,
     line_box_params,
-    primitive_direction,
 )
-from conftest import seeded_corpus
+from conftest import primitive_direction, seeded_corpus
 
 
 # Dense oracles: the whole-grid passes rasterization and betti_numbers made
@@ -108,6 +107,13 @@ def _dense_certified(free: np.ndarray) -> np.ndarray:
                 left.remove(t)
                 stack.append(t)
     return kept
+
+
+def _certified(free: np.ndarray) -> np.ndarray:
+    """The cells of the face-closed complex ``free`` whose component owns a
+    whole free cube, as a new doubled grid: ``_drop_slivers`` for a caller
+    that holds only the dense grid."""
+    return _drop_slivers(free.copy(), np.flatnonzero(~free))
 
 
 def _not_face_closed(grid: np.ndarray) -> bool:
@@ -288,10 +294,7 @@ def test_no_lines_leaves_all_cubes_free():
 def _complex(grid: np.ndarray) -> CubicalComplex:
     """A handcrafted complex on a unit grid, from its doubled grid."""
     n = grid.ndim
-    return CubicalComplex(
-        dimension=n, resolution=(grid.shape[0] - 1) // 2, box_lo=(Fraction(0),) * n,
-        cube_side=Fraction(1), grid=grid,
-    )
+    return CubicalComplex(dimension=n, resolution=(grid.shape[0] - 1) // 2, grid=grid)
 
 
 def test_single_free_cube_is_contractible():

@@ -20,8 +20,8 @@ from linetopo.geometry import (
     integer_form,
     line_box_params,
     meet,
-    primitive_direction,
 )
+from conftest import primitive_direction
 
 
 # Reference implementations: the Fraction arithmetic canonicalize_line,

@@ -1,5 +1,6 @@
-"""The three routes share exact line intersection and nothing more, and only
-``geometry`` clears denominators.
+"""The three routes share exact line intersection and nothing more, only
+``geometry`` clears denominators, and the package ships no definition that
+only the tests use.
 
 The sweep (``sweep``), the poset (``poset``) and the two brute-force oracles
 (``regions``, ``cubical``) may read an ``Arrangement`` and ``geometry``, but
@@ -15,6 +16,7 @@ import pytest
 import linetopo
 
 PACKAGE = Path(linetopo.__file__).parent
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 ROUTES = {"sweep", "regions", "poset", "cubical"}
 FORMULA = {"predict_topology", "betti_vector"}
 
@@ -84,3 +86,82 @@ def test_denominators_are_cleared_only_in_geometry():
         for name in _denominator_reads(path)
     }
     assert reads == {("io_json", "format_rational")}
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_used(node, outer=()):
+    """(name, enclosing definitions) for every reference under ``node``: a
+    Name, an Attribute, a name imported from a module or an ``__all__``
+    entry."""
+    if isinstance(node, ast.Name):
+        yield node.id, outer
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, outer
+    elif isinstance(node, ast.ImportFrom):
+        yield from ((alias.name, outer) for alias in node.names)
+    elif isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    ):
+        yield from ((entry.value, outer) for entry in node.value.elts)
+    if isinstance(node, _DEFINITIONS):
+        outer = outer + (node,)
+    for child in ast.iter_child_nodes(node):
+        yield from _names_used(child, outer)
+
+
+def _defined(node, prefix=""):
+    """(qualified name, node) of every definition under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _DEFINITIONS):
+            yield prefix + child.name, child
+            yield from _defined(child, prefix + child.name + ".")
+        else:
+            yield from _defined(child, prefix)
+
+
+def _unreferenced(package: Path, *others: Path):
+    """Every function, method and class defined in the package that nothing
+    in the package or ``others`` refers to outside its own definition, as
+    module.qualified.name.  Dunder methods are called by the language, so
+    they are not listed."""
+    modules = sorted(package.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in modules + [p for other in others for p in sorted(other.glob("*.py"))]}
+    uses = [use for tree in trees.values() for use in _names_used(tree)]
+    for path in modules:
+        for qualname, node in _defined(trees[path]):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if not any(name == node.name and node not in outer for name, outer in uses):
+                yield f"{path.stem}.{qualname}"
+
+
+def test_every_shipped_definition_is_used_outside_the_tests():
+    # code that only the tests call belongs in tests/, as an oracle
+    assert list(_unreferenced(PACKAGE, DEMOS)) == []
+
+
+def test_unused_check_sees_an_unused_definition(tmp_path):
+    package, demos = tmp_path / "package", tmp_path / "demos"
+    package.mkdir()
+    demos.mkdir()
+    (package / "mod.py").write_text(
+        "__all__ = ['exported']\n"
+        "def exported(): return Box()\n"
+        "def helper(): return 1\n"
+        "def recursive(k): return recursive(k - 1)\n"
+        "def unused():\n"
+        "    def inner(): pass\n"
+        "    return helper()\n"
+        "class Box:\n"
+        "    def __init__(self): self.size = self.measure()\n"
+        "    def measure(self): return 0\n"
+        "    def dropped(self): return Box()\n",
+        encoding="utf-8",
+    )
+    (demos / "demo.py").write_text("from package.mod import exported\n", encoding="utf-8")
+    assert list(_unreferenced(package, demos)) == [
+        "mod.recursive", "mod.unused", "mod.unused.inner", "mod.Box.dropped",
+    ]

@@ -187,6 +187,19 @@ def test_find_generic_direction_examples(one_line3):
     assert find_generic_direction(empty) == (1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("L", [10, 20])
+def test_find_generic_direction_can_accept_k_quadratic_in_v(L):
+    # y = 0, y = -1 and L lines through (i, 0) and (L i, -1), all meeting at
+    # (0, 1/(L-1)): every k < L^2 levels two vertices or an edge
+    lines = [((0, 0), (1, 0)), ((0, -1), (1, 0))]
+    lines += [((i, 0), ((L - 1) * i, -1)) for i in range(1, L + 1)]
+    g = build_space_graph(build_arrangement(2, lines))
+    assert len(g.vertices) == 2 * L + 1
+    assert find_generic_direction(g) == (1, L * L)
+    bound = len(g.edges) + len(g.vertices) * (len(g.vertices) - 1) // 2 + 1
+    assert L * L <= bound
+
+
 def test_sweep_events_crossing_pair(crossing_pair3):
     g = build_space_graph(crossing_pair3)
     plan = sweep_events(g, find_generic_direction(g))
