@@ -25,6 +25,12 @@ from .errors import DimensionMismatch, DuplicateLine, InvariantViolation
 from .geometry import COINCIDENT, Line, Point, canonicalize_line, compare_points, meet
 
 
+# Largest ambient dimension accepted.  Work grows with n even when there are
+# no lines: a sweep direction has n entries and the residue filter's arrays
+# n columns, and numpy refuses an array axis of 2^63.
+MAX_DIMENSION = 1 << 16
+
+
 @dataclass(frozen=True)
 class Arrangement:
     """A validated set of d >= 0 pairwise distinct canonical lines in R^n."""
@@ -46,10 +52,20 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class MultiplePoint:
-    """A point where >= 2 lines of the arrangement meet."""
+    """A point where >= 2 lines of the arrangement meet.
 
-    location: Point
+    ``integer_location`` is (X, D), the form ``meet`` returns: the point is
+    X / D with D > 0 and gcd(*X, D) == 1, so equal points have equal forms.
+    ``location`` is the same point as Fractions, built on first read.
+    """
+
+    integer_location: tuple[tuple[int, ...], int]
     incident: tuple[int, ...]  # sorted line indices
+
+    @cached_property
+    def location(self) -> Point:
+        X, D = self.integer_location
+        return tuple(Fraction(x, D) for x in X)
 
     @property
     def multiplicity(self) -> int:
@@ -81,13 +97,15 @@ def build_arrangement(n: int, raw_lines) -> Arrangement:
 def arrangement_of_lines(n: int, lines) -> Arrangement:
     """The Arrangement of canonical lines in R^n, in their order.
 
-    Raises DimensionMismatch for n < 2 or a line in another dimension, and
-    DuplicateLine, naming both indices, for two equal lines.  ``lines`` is
-    read once, in order, so a generator's own errors keep their place
-    between these checks.
+    Raises DimensionMismatch for n < 2, n > MAX_DIMENSION or a line in
+    another dimension, and DuplicateLine, naming both indices, for two equal
+    lines.  ``lines`` is read once, in order, so a generator's own errors
+    keep their place between these checks.
     """
     if n < 2:
         raise DimensionMismatch(f"ambient dimension must be >= 2, got {n}")
+    if n > MAX_DIMENSION:
+        raise DimensionMismatch(f"ambient dimension must be <= {MAX_DIMENSION}, got {n}")
     seen: dict[Line, int] = {}
     for idx, line in enumerate(lines):
         if line.dimension != n:
@@ -109,8 +127,8 @@ def multiple_points(a: Arrangement) -> list[MultiplePoint]:
     Pairwise intersections are grouped by their reduced integer forms,
     which are equal iff the points are; any line through a grouped location
     is picked up automatically because it meets each of the other incident
-    lines there.  Output is sorted lexicographically by location, compared
-    in integers, and each location is built as Fractions once.
+    lines there.  Each point keeps the form ``meet`` returned, and output is
+    sorted lexicographically by location, compared in integers.
     """
     clusters: dict[tuple[tuple[int, ...], int], set[int]] = {}
     for i, j in _unproven_pairs(a):
@@ -121,11 +139,8 @@ def multiple_points(a: Arrangement) -> list[MultiplePoint]:
             raise InvariantViolation(f"arrangement lines {i} and {j} coincide")
         clusters.setdefault(x, set()).update((i, j))
     return [
-        MultiplePoint(
-            location=tuple(Fraction(xk, D) for xk in X),
-            incident=tuple(sorted(clusters[X, D])),
-        )
-        for X, D in sorted(clusters, key=cmp_to_key(compare_points))
+        MultiplePoint(integer_location=x, incident=tuple(sorted(clusters[x])))
+        for x in sorted(clusters, key=cmp_to_key(compare_points))
     ]
 
 

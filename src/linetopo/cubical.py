@@ -149,7 +149,7 @@ def _coarseness_guard(a: Arrangement, side: Fraction, box_side: Fraction):
     n, mps, lines = a.dimension, a.multiple_points, a.lines
     (S, B), den = integer_form((side, box_side))
     bound = 4 * n * S * S  # (2 * cube diameter)^2 times den^2
-    points = [integer_form(mp.location) for mp in mps]
+    points = [mp.integer_location for mp in mps]
 
     def near(p, q, *dirs):  # p - q lies within two cube diameters of span(dirs)
         (X, D), (Y, E) = p, q

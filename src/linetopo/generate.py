@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import re
 
-from .arrangement import Arrangement, arrangement_of_lines
+from .arrangement import MAX_DIMENSION, Arrangement, arrangement_of_lines
 from .errors import InvalidProfile
-from .geometry import Line, canonicalize_line, intersect_lines, point_on_line
+from .geometry import Line, canonicalize_line, meet
 
 _MASK64 = (1 << 64) - 1
 
@@ -66,9 +66,13 @@ def _draw_vector(rng: SplitMix64, n: int, radius: int, nonzero: bool):
             return v
 
 
-def _draw_generic_line(rng, n, lines, radius, avoid_points):
+def _draw_generic_line(rng, n, lines, radius, avoid, carriers):
     """A line that is not a duplicate, parallel to no existing line, and
-    passes through none of the given points."""
+    passes through none of the points in ``avoid``, held as ``meet`` forms.
+
+    Each avoided point lies on one of ``carriers``, which are existing
+    lines.  The line drawn is parallel to none of them, so it passes through
+    an avoided point iff it meets a carrier there."""
     attempts = 0
     while True:
         attempts += 1
@@ -79,7 +83,7 @@ def _draw_generic_line(rng, n, lines, radius, avoid_points):
         line = canonicalize_line(p, u)
         if any(line.direction == old.direction for old in lines):  # equal lines share one too
             continue
-        if any(point_on_line(pt, line) for pt in avoid_points):
+        if avoid and any(meet(old, line) in avoid for old in carriers):
             continue
         return line
 
@@ -94,6 +98,8 @@ def generate_random(n: int, d: int, profile: str, seed: int) -> Arrangement:
     """
     if n < 2:
         raise InvalidProfile(f"dimension must be >= 2, got {n}")
+    if n > MAX_DIMENSION:
+        raise InvalidProfile(f"dimension must be <= {MAX_DIMENSION}, got {n}")
     if d < 1:
         raise InvalidProfile(f"line count must be >= 1, got {d}")
     kind, k = _parse_profile(profile, d)
@@ -115,18 +121,16 @@ def generate_random(n: int, d: int, profile: str, seed: int) -> Arrangement:
                 continue
             dirs.add(line.direction)
             lines.append(line)
-        avoid = {apex}
+        avoid = {(apex, 1)}  # on the first pencil line
         while len(lines) < d:
-            lines.append(_draw_generic_line(rng, n, lines, 9, avoid))
+            lines.append(_draw_generic_line(rng, n, lines, 9, avoid, lines[:1]))
     else:
         avoid = set()  # in the plane: every crossing of the lines drawn so far
         while len(lines) < d:
-            line = _draw_generic_line(rng, n, lines, 9, avoid)
+            line = _draw_generic_line(rng, n, lines, 9, avoid, lines)
             if n == 2:
                 # concurrences would lower t_2 below the generic count
-                avoid.update(
-                    x for old in lines if (x := intersect_lines(old, line)) is not None
-                )
+                avoid.update(x for old in lines if (x := meet(old, line)) is not None)
             lines.append(line)
 
     return arrangement_of_lines(n, lines)

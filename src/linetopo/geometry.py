@@ -7,11 +7,12 @@ integer numerators over one positive denominator.  ``integer_form`` feeds it
 rationals, and the parser feeds it the pairs it reads.  A ``Line`` holds its
 canonical base in that integer form, computed in integers from the input, and
 builds ``Fraction``s only when its ``base`` view is read.  ``meet`` gives
-an intersection point in the same reduced integer form.  ``Fraction`` is
-otherwise built only for the rationals returned: points and line
-parameters.  There is no tolerance anywhere.  Multiplicity data changes the
-topology of a complement, so near-miss intersections must never be merged
-and exact coincidences must never be split.
+an intersection point in the same reduced integer form, which multiple
+points and space-graph vertices keep, with ``Fraction`` views.
+``Fraction`` is otherwise built only for the rationals returned: points and
+line parameters.  There is no tolerance anywhere.  Multiplicity data changes
+the topology of a complement, so near-miss intersections must never be
+merged and exact coincidences must never be split.
 """
 
 from __future__ import annotations

@@ -44,15 +44,17 @@ class GraphEdge:
 
 @dataclass(frozen=True)
 class SpaceGraph:
+    """``integer_vertices`` holds each vertex u as (X_u, D_u), integer
+    numerators over D_u > 0 with gcd(*X_u, D_u) == 1, so that u = X_u / D_u;
+    ``vertices`` is the same points as Fractions, built on first read."""
+
     dimension: int
-    vertices: tuple[Point, ...]
+    integer_vertices: tuple[tuple[tuple[int, ...], int], ...]
     edges: tuple[GraphEdge, ...]
 
     @cached_property
-    def integer_vertices(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each vertex u as (X_u, D_u): integer numerators over D_u > 0, the
-        lcm of its coordinate denominators, so that u = X_u / D_u."""
-        return tuple(integer_form(u) for u in self.vertices)
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(tuple(Fraction(x, D) for x in X) for X, D in self.integer_vertices)
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,6 @@ def build_space_graph(a: Arrangement) -> SpaceGraph:
     multiple point lies on it.
     """
     mps = a.multiple_points
-    vertices = tuple(mp.location for mp in mps)
     # The points come in lexicographic order.  Along a canonical line, whose
     # first nonzero direction entry is positive, lexicographic order is the
     # order of the parameter, so each line's cuts arrive sorted.
@@ -136,7 +137,11 @@ def build_space_graph(a: Arrangement) -> SpaceGraph:
         for vi, vj in zip(cuts, cuts[1:]):
             edges.append(GraphEdge(carrier=line, vertices=(vi, vj)))
         edges.append(GraphEdge(carrier=line, vertices=(cuts[-1],), ray_dir=line.direction))
-    return SpaceGraph(dimension=a.dimension, vertices=vertices, edges=tuple(edges))
+    return SpaceGraph(
+        dimension=a.dimension,
+        integer_vertices=tuple(mp.integer_location for mp in mps),
+        edges=tuple(edges),
+    )
 
 
 def graph_from_segments(n: int, points, segments) -> SpaceGraph:
@@ -168,7 +173,9 @@ def graph_from_segments(n: int, points, segments) -> SpaceGraph:
             if lo < carrier.param_of(w) < hi:
                 raise ValueError(f"vertex {k} lies in the interior of segment ({i},{j})")
         edges.append(GraphEdge(carrier=carrier, vertices=(i, j)))
-    return SpaceGraph(dimension=n, vertices=vertices, edges=tuple(edges))
+    return SpaceGraph(
+        dimension=n, integer_vertices=tuple(map(integer_form, vertices)), edges=tuple(edges)
+    )
 
 
 def _integer_direction(x: SpaceGraph, v) -> tuple[tuple[int, ...], int]:

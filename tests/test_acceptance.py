@@ -154,6 +154,16 @@ def test_sweep_certification_cost_planar_d40(tmp_path):
     assert elapsed < 10.0, f"planar d=40 analyze took {elapsed:.2f}s, budget 10s"
 
 
+def test_generator_cost_planar_d120():
+    # 7140 crossings to avoid: a candidate meets each line drawn so far once
+    # rather than testing every crossing for incidence
+    t0 = time.perf_counter()
+    a = generate_random(2, 120, "generic", 1)
+    elapsed = time.perf_counter() - t0
+    assert multiplicity_vector(a) == {2: 7140}
+    assert elapsed < 1.0, f"planar d=120 generic gen took {elapsed:.2f}s, budget 1s"
+
+
 def test_intersection_pass_cost_n3_d300(tmp_path):
     # 44850 line pairs, each decided in integers
     a = generate_random(3, 300, "mixed", 1)

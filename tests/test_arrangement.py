@@ -14,19 +14,27 @@ from linetopo import (
     Arrangement,
     DimensionMismatch,
     DuplicateLine,
+    InvalidProfile,
     InvariantViolation,
     canonicalize_line,
     intersect_lines,
     build_arrangement,
+    build_poset,
+    build_space_graph,
+    check_direction,
+    find_generic_direction,
     generate_random,
     genus,
     multiple_points,
     multiplicity_vector,
     parse_arrangement,
     predict_topology,
+    recover_line_count,
+    recover_multiplicities,
     serialize_arrangement,
 )
-from linetopo.arrangement import MultiplePoint, transform
+from linetopo.arrangement import MAX_DIMENSION, MultiplePoint, transform
+from linetopo.geometry import integer_form
 from linetopo.cli import run_cli
 from conftest import X_AXIS3, Y_AXIS3, Z_AXIS3, hub_arrangements, seeded_corpus
 
@@ -42,6 +50,15 @@ def test_build_axes_and_dimension_guard():
     assert a.d == 3
     with pytest.raises(DimensionMismatch):
         build_arrangement(1, [((0,), (1,))])
+
+
+def test_dimension_cap_is_checked_before_any_work():
+    assert build_arrangement(MAX_DIMENSION, []).dimension == MAX_DIMENSION
+    with pytest.raises(DimensionMismatch, match=f"must be <= {MAX_DIMENSION}, got {2**63}"):
+        build_arrangement(2**63, [])
+    # refused before the first draw, which would hold 2^63 coordinates
+    with pytest.raises(InvalidProfile, match=f"must be <= {MAX_DIMENSION}"):
+        generate_random(2**63, 3, "generic", 1)
 
 
 def test_multiple_points_crossing_pair(crossing_pair3):
@@ -245,7 +262,7 @@ def _multiple_points_oracle(a):
                 raise InvariantViolation(f"arrangement lines {i} and {j} coincide")
             clusters.setdefault(x, set()).update((i, j))
     return [
-        MultiplePoint(location=loc, incident=tuple(sorted(clusters[loc])))
+        MultiplePoint(integer_location=integer_form(loc), incident=tuple(sorted(clusters[loc])))
         for loc in sorted(clusters)
     ]
 
@@ -374,6 +391,45 @@ def test_parse_and_pass_build_no_fraction_on_skew_lines(monkeypatch):
     monkeypatch.undo()
     assert built == []
     assert mps == () and a == a0
+
+
+def test_multiple_points_and_routes_build_no_fraction(monkeypatch):
+    # a pencil of 3 through the origin plus two lines that each cross one of
+    # its lines, under a rational affine map: the points are rational, and
+    # parsing, the pass, the poset, the space graph and the direction search
+    # hold them as integer forms only
+    matrix, shift = [[2, 1, 0], [1, -1, 3], [0, 5, 1]], [Fraction(1, 2), -3, Fraction(7, 5)]
+    pencil = build_arrangement(
+        3, [X_AXIS3, Y_AXIS3, Z_AXIS3, ((1, 0, 0), (0, 1, 1)), ((0, 2, 0), (1, 0, 1))]
+    )
+    text = serialize_arrangement(transform(pencil, matrix, shift))
+    expected = {
+        tuple(sum(m * x for m, x in zip(row, p)) + s for row, s in zip(matrix, shift))
+        for p in [(0, 0, 0), (1, 0, 0), (0, 2, 0)]
+    }
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    Fraction(1, 3)
+    assert len(built) == 1  # the wrapper sees constructions
+    built.clear()
+    a = parse_arrangement(text)
+    mps = a.multiple_points
+    p = build_poset(a)
+    recovered = recover_line_count(p), recover_multiplicities(p)
+    graph = build_space_graph(a)
+    v = find_generic_direction(graph)
+    violation = check_direction(graph, v)
+    monkeypatch.undo()
+    assert built == []
+    assert recovered == (5, {2: 2, 3: 1}) and violation is None
+    assert {mp.location for mp in mps} == expected
+    assert graph.vertices == tuple(mp.location for mp in mps)
 
 
 @settings(max_examples=150, deadline=None)

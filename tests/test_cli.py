@@ -100,6 +100,25 @@ def test_grid_over_budget_in_a_huge_dimension_is_an_input_error(capsys, tmp_path
     assert "(2m+1)^n = 5^7000 slots" in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["analyze", "--grid", "4"], ["poset"], ["poset", "--format", "dot"],
+    ["sweep"], ["sweep", "--direction", "1,2"], ["verify", "--grid", "4"],
+])
+def test_a_dimension_over_the_cap_is_an_input_error(capsys, tmp_path, argv):
+    # numpy refuses an array axis this long; the dimension is refused first
+    text = json.dumps({"dimension": 2**63, "lines": []})
+    code, out, err = run(capsys, argv, text, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DimensionMismatch"
+    assert err.strip()
+
+
+def test_gen_refuses_a_dimension_over_the_cap(capsys):
+    code, out, _ = run(capsys, ["gen", "--dim", str(2**63), "--count", "3", "--seed", "1"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvalidProfile"
+
+
 def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "input.json"
     path.write_bytes(b"\xff\xfe{}")

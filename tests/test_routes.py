@@ -1,6 +1,6 @@
 """The three routes share exact line intersection and nothing more, only
-``geometry`` clears denominators, and the package ships no definition that
-only the tests use.
+``geometry`` clears denominators, the package ships no definition that only
+the tests use and no ``assert``, and the routes agree on drawn arrangements.
 
 The sweep (``sweep``), the poset (``poset``) and the two brute-force oracles
 (``regions``, ``cubical``) may read an ``Arrangement`` and ``geometry``, but
@@ -12,8 +12,21 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import linetopo
+from linetopo import (
+    build_poset,
+    build_space_graph,
+    euler_region_count,
+    find_generic_direction,
+    handle_trace,
+    predict_topology,
+    recover_line_count,
+    recover_multiplicities,
+    sweep_events,
+)
+from conftest import hub_arrangements
 
 PACKAGE = Path(linetopo.__file__).parent
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -165,3 +178,42 @@ def test_unused_check_sees_an_unused_definition(tmp_path):
     assert list(_unreferenced(package, demos)) == [
         "mod.recursive", "mod.unused", "mod.unused.inner", "mod.Box.dropped",
     ]
+
+
+def _asserts(path: Path):
+    """Line numbers of the ``assert`` statements in a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_the_package_has_no_assert():
+    # python -O strips asserts, so invariants raise explicit errors
+    assert {path.name: _asserts(path) for path in PACKAGE.glob("*.py") if _asserts(path)} == {}
+
+
+def test_assert_check_sees_an_assert(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        assert x > 0, 'positive'\n"
+        "    return x\n",
+        encoding="utf-8",
+    )
+    assert _asserts(path) == [3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hub_arrangements())
+def test_routes_agree_on_drawn_arrangements(a):
+    # the formula, the sweep, the poset and, in the plane, the region count
+    # give one g; shrinking names a minimal arrangement where they part
+    g = predict_topology(a).g
+    graph = build_space_graph(a)
+    trace = handle_trace(sweep_events(graph, find_generic_direction(graph)), a.dimension)
+    assert trace.all_trivial and trace.final_g == g
+    p = build_poset(a)
+    t = recover_multiplicities(p)
+    assert recover_line_count(p) + sum((i - 1) * c for i, c in t.items()) == g
+    if a.dimension == 2:
+        assert euler_region_count(a) == 1 + g

@@ -17,7 +17,7 @@ from linetopo import (
     sweep_events,
 )
 from linetopo.errors import LinetopoError
-from linetopo.geometry import as_point, dot, sub
+from linetopo.geometry import as_point, dot, integer_form, sub
 from linetopo.sweep import GraphEdge, SpaceGraph, SweepEvent, SweepPlan, Violation
 from conftest import hub_arrangements, second_generic_direction, seeded_corpus
 
@@ -183,7 +183,7 @@ def test_find_generic_direction_examples(one_line3):
     assert check_direction(g2, (1, 1, 1)) is not None
     assert find_generic_direction(g2) == (1, 2, 4)
 
-    empty = SpaceGraph(dimension=4, vertices=(), edges=())
+    empty = SpaceGraph(dimension=4, integer_vertices=(), edges=())
     assert find_generic_direction(empty) == (1, 1, 1, 1)
 
 
@@ -394,7 +394,7 @@ def _space_graph_oracle(a):
         edges.append(GraphEdge(carrier=line, vertices=(cuts[-1][1],), ray_dir=line.direction))
     return SpaceGraph(
         dimension=a.dimension,
-        vertices=tuple(mp.location for mp in mps),
+        integer_vertices=tuple(integer_form(mp.location) for mp in mps),
         edges=tuple(edges),
     )
 
