@@ -1,11 +1,11 @@
 """Rasterized box-clipped complements and their homology over GF(2).
 
-A rational bounding cube around the arrangement is split into an m^n grid
-whose cells, of every dimension, live in one boolean array: the doubled grid
-of shape (2m+1)^n.  Along each axis slot 2q is grid plane q and slot 2q+1 the
-open interval between planes q and q+1, so the cell with anchor corner a and
-extent mask mu sits at index 2a + mu, and a cell's dimension is its number of
-odd coordinates.
+A bounding cube around the arrangement, held in integers, is split into an
+m^n grid whose cells, of every dimension, live in one boolean array: the
+doubled grid of shape (2m+1)^n.  Along each axis slot 2q is grid plane q and
+slot 2q+1 the open interval between planes q and q+1, so the cell with anchor
+corner a and extent mask mu sits at index 2a + mu, and a cell's dimension is
+its number of odd coordinates.
 
 The complex keeps every cell whose closed cell meets no line.  Inside the box
 a line changes open cell only where one of its coordinates meets a grid
@@ -48,16 +48,15 @@ boundary maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 from .arrangement import Arrangement
 from .errors import GridTooLarge, InvariantViolation, ResolutionTooCoarse
-from .geometry import Line, dot, integer_form
+from .geometry import Line, clear_denominators, dot
 
 BettiVector = tuple[int, ...]
 
@@ -96,19 +95,20 @@ class CubicalComplex:
 
 
 def _bounding_cube(a: Arrangement):
-    """(low corner, side) of a rational cube around all multiple points and
-    line base points, inflated by one box-width of margin on each side."""
-    anchors = [mp.location for mp in a.multiple_points]
-    anchors += [line.base for line in a.lines]
-    if not anchors:
-        anchors = [tuple(Fraction(0) for _ in range(a.dimension))]
+    """The frame: ``integer_form`` of (low corner..., side) of a cube around
+    all multiple points and line base points with one box-width of margin on
+    each side, clearing only each axis's extremes, found by cross-multiplying."""
     n = a.dimension
-    lo = [min(p[i] for p in anchors) for i in range(n)]
-    hi = [max(p[i] for p in anchors) for i in range(n)]
-    side = max(max(h - l for h, l in zip(hi, lo)), Fraction(1))
-    total = 3 * side
-    corner = tuple((l + h) / 2 - total / 2 for l, h in zip(lo, hi))
-    return corner, total
+    anchors = [mp.integer_location for mp in a.multiple_points]
+    anchors = anchors + [line.integer_base for line in a.lines] or [((0,) * n, 1)]
+    below = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])  # x/D against y/E
+    ends, E = clear_denominators(
+        pick(((X[i], D) for X, D in anchors), key=below) for pick in (min, max) for i in range(n)
+    )
+    w = max(E, *(h - l for l, h in zip(ends, ends[n:])))
+    X = [l + h - 3 * w for l, h in zip(ends, ends[n:])] + [6 * w]
+    g = gcd(*X, 2 * E)
+    return tuple(x // g for x in X), 2 * E // g
 
 
 def _gram(*vectors):
@@ -123,7 +123,7 @@ def _gram(*vectors):
     return a * (e * i - f * f) - b * (b * i - f * c) + c * (b * f - e * c)
 
 
-def _coarseness_guard(a: Arrangement, side: Fraction, box_side: Fraction):
+def _coarseness_guard(a: Arrangement, frame, m: int):
     """Reject resolutions that cannot resolve the arrangement's features.
 
     Certified with exact integer comparisons: any two multiple points, any
@@ -133,9 +133,9 @@ def _coarseness_guard(a: Arrangement, side: Fraction, box_side: Fraction):
     the guaranteed run to the box boundary (a third of the box side), since a
     thinner wedge region never certifies a free cube.  The squared distance
     from w to the span of some directions is _gram(w, *dirs) / _gram(*dirs)
-    and the sin^2 of a wedge _gram(di, dj) / (_gram(di) _gram(dj)).  Points,
-    bases and the two sides are integer forms, and each check compares
-    cross-multiplied integers, so nothing is divided.
+    and the sin^2 of a wedge _gram(di, dj) / (_gram(di) _gram(dj)).  Each
+    check is homogeneous of degree 2 in the frame's unreduced integers and
+    compares cross-multiplied integers, so nothing is divided.
 
     No pair of multiple points is scanned unless a point-line check fails.
     Two distinct multiple points p and q share at most one line, and q lies
@@ -147,7 +147,7 @@ def _coarseness_guard(a: Arrangement, side: Fraction, box_side: Fraction):
     each point's pairs before its lines.
     """
     n, mps, lines = a.dimension, a.multiple_points, a.lines
-    (S, B), den = integer_form((side, box_side))
+    S, den = frame[0][-1], frame[1] * m  # the cube side S / den
     bound = 4 * n * S * S  # (2 * cube diameter)^2 times den^2
     points = [mp.integer_location for mp in mps]
 
@@ -175,8 +175,8 @@ def _coarseness_guard(a: Arrangement, side: Fraction, box_side: Fraction):
     for k, mp in enumerate(mps):
         for i, j in combinations(mp.incident, 2):
             di, dj = lines[i].direction, lines[j].direction
-            # the guaranteed run to the box boundary is box_side / 3 = B / (3 den)
-            if _gram(di, dj) * B * B < 9 * bound * _gram(di) * _gram(dj):
+            # the guaranteed run to the box boundary is a third of S m / den
+            if _gram(di, dj) * (S * m) ** 2 < 9 * bound * _gram(di) * _gram(dj):
                 raise ResolutionTooCoarse(
                     f"lines {i} and {j} cross at multiple point {k} too shallowly "
                     f"for the wedge to reach two cube diameters inside the box"
@@ -191,24 +191,25 @@ def _slot(num: int, den: int) -> int:
     return 2 * q + (rem != 0)
 
 
-def _mark_line(line: Line, corner, side: Fraction, m: int) -> tuple[list[int], ...]:
+def _mark_line(line: Line, frame, m: int) -> tuple[list[int], ...]:
     """Doubled-grid coordinates, one list per axis, of the open cells at each
     point where the line meets a grid plane inside the box, exactly.
 
-    In grid units the line is u(t) = (p + t w) / den, with integer p, w and
-    den > 0, and it meets plane i of axis a at t = (i den - p_a) / w_a.  The
-    span ends are such crossings with the box faces, and between two
-    consecutive crossings the line stays in one open cell, which has the
-    cells at both ends as faces.  So the star of the marked cells is exactly
-    the set of closed cells the line meets.  Scaling the parameter to
-    tau = W t, with W the lcm of the nonzero |w_a|, makes every crossing an
-    integer.  A cell at a crossing of several planes is listed once per
-    plane.
+    In grid units the line is u(t) = (p + t w) / den for the integers below,
+    left unreduced as a common positive factor moves no slot, and it meets
+    plane i of axis a at t = (i den - p_a) / w_a.  The span ends are such
+    crossings with the box faces, and between two consecutive crossings the
+    line stays in one open cell, which has the cells at both ends as faces.
+    So the star of the marked cells is exactly the set of closed cells the
+    line meets.  Scaling the parameter to tau = W t, with W the lcm of the
+    nonzero |w_a|, makes every crossing an integer.  A cell at a crossing of
+    several planes is listed once per plane.
     """
     n = line.dimension
-    units = [(b - c) / side for b, c in zip(line.base, corner)]
-    ints, den = integer_form(units + [v / side for v in line.direction])
-    p, w = ints[:n], ints[n:]
+    (*K, T), E = frame
+    B, Db = line.integer_base
+    p = [(b * E - k * Db) * m for b, k in zip(B, K)]
+    w, den = [E * m * Db * u for u in line.direction], Db * T
     scale = lcm(*(abs(x) for x in w if x))
     crossings, spans = [], []
     for pa, wa in zip(p, w):
@@ -320,7 +321,7 @@ def _drop_slivers(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _rasterize(a: Arrangement, corner, side: Fraction, m: int) -> np.ndarray:
+def _rasterize(a: Arrangement, frame, m: int) -> np.ndarray:
     """The doubled grid of the certified complex: every cell whose closed
     cell meets no line, less the slivers.  It is the only dense array built:
     the star of the marks, the orphans and the walk run on flat slot indices
@@ -328,7 +329,7 @@ def _rasterize(a: Arrangement, corner, side: Fraction, m: int) -> np.ndarray:
     n = a.dimension
     marks = [[] for _ in range(n)]
     for line in a.lines:
-        for axis, slots in zip(marks, _mark_line(line, corner, side, m)):
+        for axis, slots in zip(marks, _mark_line(line, frame, m)):
             axis += slots
     grid = np.ones((2 * m + 1,) * n, dtype=bool)
     u = _star(np.ravel_multi_index(np.array(marks, dtype=np.intp), grid.shape), 2 * m + 1, n)
@@ -358,10 +359,9 @@ def rasterize_complement(a: Arrangement, m: int) -> CubicalComplex:
             f"a grid of {m} cubes per axis in dimension {n} needs (2m+1)^n = "
             f"{2 * m + 1}^{n} slots, more than the budget of {_MAX_SLOTS}"
         )
-    corner, total = _bounding_cube(a)
-    side = total / m
-    _coarseness_guard(a, side, total)
-    grid = _rasterize(a, corner, side, m)
+    frame = _bounding_cube(a)
+    _coarseness_guard(a, frame, m)
+    grid = _rasterize(a, frame, m)
     # an empty complex measures all zeros, while a complement has b_0 >= 1
     if not grid[(slice(1, None, 2),) * n].any():
         raise ResolutionTooCoarse(f"no cube of the {m}^{n} grid misses every line")

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatch, InvariantViolation, ZeroDirection
 
@@ -58,11 +59,7 @@ def integer_form(v) -> tuple[tuple[int, ...], int]:
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def sub(a, b) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _primitive(ints) -> tuple[int, ...]:
@@ -124,8 +121,6 @@ class Line:
 def canonicalize_line(p, u) -> Line:
     """Build the canonical Line through point p with direction parallel to u."""
     P, D = integer_form(p)
-    if len(P) < 2:
-        raise DimensionMismatch(f"ambient dimension must be >= 2, got {len(P)}")
     return line_from_integer_form(P, D, integer_form(u)[0])
 
 
@@ -137,6 +132,8 @@ def line_from_integer_form(P, D, U) -> Line:
     d: (P (d.d) - (P.d) d) / (D (d.d)), divided by the gcd of its entries
     and denominator.
     """
+    if len(P) < 2:
+        raise DimensionMismatch(f"ambient dimension must be >= 2, got {len(P)}")
     d = _primitive(U)
     if len(d) != len(P):
         raise DimensionMismatch(

@@ -25,7 +25,7 @@ from operator import mul
 
 from .arrangement import Arrangement
 from .errors import DimensionMismatch, NonGenericDirection, ZeroDirection
-from .geometry import Line, Point, as_point, canonicalize_line, integer_form, point_on_line, sub
+from .geometry import Line, Point, as_point, dot, integer_form, line_from_integer_form
 
 
 @dataclass(frozen=True)
@@ -149,33 +149,36 @@ def graph_from_segments(n: int, points, segments) -> SpaceGraph:
 
     Validates that no two vertices coincide and that no vertex lies in the
     interior of a segment.  Two vertices at one point lie on one level of
-    every direction, so no direction would be generic.
+    every direction, so no direction would be generic.  On points cleared once
+    to X / D, vertex k lies inside segment (i, j) iff 0 < (a.b) D_j < (b.b) D_k
+    and a = X_k D_i - X_i D_k is parallel to b = X_j D_i - X_i D_j.
     """
-    vertices = tuple(as_point(p) for p in points)
-    for p in vertices:
-        if len(p) != n:
+    forms = tuple(map(integer_form, points))
+    for X, D in forms:
+        if len(X) != n:
+            p = tuple(Fraction(x, D) for x in X)
             raise DimensionMismatch(f"vertex {p} does not have dimension {n}")
     first_at = {}
-    for k, p in enumerate(vertices):
-        i = first_at.setdefault(p, k)
+    for k, x in enumerate(forms):
+        i = first_at.setdefault(x, k)
         if i != k:
             raise ValueError(f"vertices {i} and {k} are at the same point")
     edges = []
     for (i, j) in segments:
         if i == j:
             raise ZeroDirection("segment endpoints coincide")
-        carrier = canonicalize_line(vertices[i], sub(vertices[j], vertices[i]))
-        ti, tj = carrier.param_of(vertices[i]), carrier.param_of(vertices[j])
-        lo, hi = min(ti, tj), max(ti, tj)
-        for k, w in enumerate(vertices):
-            if k in (i, j) or not point_on_line(w, carrier):
-                continue
-            if lo < carrier.param_of(w) < hi:
-                raise ValueError(f"vertex {k} lies in the interior of segment ({i},{j})")
+        (Xi, Di), (Xj, Dj) = forms[i], forms[j]
+        b = [xj * Di - xi * Dj for xi, xj in zip(Xi, Xj)]
+        carrier = line_from_integer_form(Xi, Di, b)
+        bb, bi = dot(b, b), dot(Xi, b)
+        for k, (Xk, Dk) in enumerate(forms):
+            ab = dot(Xk, b) * Di - bi * Dk  # a.b, before a is built
+            if 0 < ab * Dj < bb * Dk:
+                a = [xk * Di - xi * Dk for xi, xk in zip(Xi, Xk)]
+                if dot(a, a) * bb == ab * ab:  # equal in Cauchy-Schwarz: parallel
+                    raise ValueError(f"vertex {k} lies in the interior of segment ({i},{j})")
         edges.append(GraphEdge(carrier=carrier, vertices=(i, j)))
-    return SpaceGraph(
-        dimension=n, integer_vertices=tuple(map(integer_form, vertices)), edges=tuple(edges)
-    )
+    return SpaceGraph(dimension=n, integer_vertices=forms, edges=tuple(edges))
 
 
 def _integer_direction(x: SpaceGraph, v) -> tuple[tuple[int, ...], int]:
@@ -251,17 +254,17 @@ def find_generic_direction(x: SpaceGraph) -> tuple[int, ...]:
     one per vertex pair (their height difference).  So at most
     (n - 1)(E + V(V - 1)/2) candidates fail, the accepted k is at most one
     more, and the search terminates.  The deterministic choice makes reports
-    reproducible.  Each candidate costs O(V + E) integer operations (see
-    check_direction), so the search is O(n (E + V^2)(V + E)) in the worst
-    case.  The accepted k can grow as V^2: the lines y = 0 and y = -1 and the
-    L lines through (i, 0) and (L i, -1), i = 1..L, which share one point,
-    give V = 2L + 1 and accept first k = L^2.
+    reproducible.  Candidates skip check_direction's input checks and cost
+    O(V + E) integer operations, so the search is O(n (E + V^2)(V + E)) in
+    the worst case.  The accepted k can grow as V^2: the lines y = 0 and
+    y = -1 and the L lines through (i, 0) and (L i, -1), i = 1..L, which
+    share one point, give V = 2L + 1 and accept first k = L^2.
     """
     n = x.dimension
     k = 1
     while True:
         v = tuple(k**i for i in range(n))
-        if check_direction(x, v) is None:
+        if (_perpendicular_edge(x, v) or _level_pair(x, _heights(x, v))) is None:
             return v
         k += 1
 

@@ -310,8 +310,7 @@ def test_guard_cost_planar_lattice(tmp_path):
 
 def test_coarseness_guard_builds_no_fraction(monkeypatch):
     a = _planar_lattice(30)
-    _, total = _bounding_cube(a)
-    cube_side = total / 768
+    frame = _bounding_cube(a)
     assert len(a.multiple_points) == 900  # computed and cached before the count
     built = []
     new = Fraction.__new__
@@ -324,7 +323,7 @@ def test_coarseness_guard_builds_no_fraction(monkeypatch):
     Fraction(1, 3)
     assert len(built) == 1  # the wrapper sees constructions
     built.clear()
-    _coarseness_guard(a, cube_side, total)
+    _coarseness_guard(a, frame, 768)
     monkeypatch.undo()
     assert built == []
 

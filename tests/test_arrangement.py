@@ -16,6 +16,7 @@ from linetopo import (
     DuplicateLine,
     InvalidProfile,
     InvariantViolation,
+    ResolutionTooCoarse,
     canonicalize_line,
     intersect_lines,
     build_arrangement,
@@ -25,6 +26,7 @@ from linetopo import (
     find_generic_direction,
     generate_random,
     genus,
+    graph_from_segments,
     multiple_points,
     multiplicity_vector,
     parse_arrangement,
@@ -32,6 +34,7 @@ from linetopo import (
     recover_line_count,
     recover_multiplicities,
     serialize_arrangement,
+    verify_arrangement,
 )
 from linetopo.arrangement import MAX_DIMENSION, MultiplePoint, transform
 from linetopo.geometry import integer_form
@@ -430,6 +433,36 @@ def test_multiple_points_and_routes_build_no_fraction(monkeypatch):
     assert recovered == (5, {2: 2, 3: 1}) and violation is None
     assert {mp.location for mp in mps} == expected
     assert graph.vertices == tuple(mp.location for mp in mps)
+
+
+def test_verify_and_compact_graphs_build_no_fraction(monkeypatch):
+    # the homology oracle's frame, guard, marks and ranks, and the
+    # validation of a compact graph, read integer forms only; the lines are
+    # rational, the guard refuses grid 8 and accepts grid 16
+    matrix, shift = [[2, 1, 0], [1, -1, 3], [0, 5, 1]], [Fraction(1, 2), -3, Fraction(7, 5)]
+    a = transform(build_arrangement(3, [X_AXIS3, Y_AXIS3, ((1, 0, 0), (0, 1, 1))]), matrix, shift)
+    assert len(a.multiple_points) == 2  # computed and cached before the count
+    points = [(Fraction(x, 3), y, Fraction(x * y, 7)) for x in range(4) for y in range(4)]
+    segments = [(4 * x + y, 4 * x + y + 1) for x in range(4) for y in range(3)]
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    Fraction(1, 3)
+    assert len(built) == 1  # the wrapper sees constructions
+    built.clear()
+    with pytest.raises(ResolutionTooCoarse):
+        verify_arrangement(a, 8)
+    report = verify_arrangement(a, 16)
+    graph = graph_from_segments(3, points, segments)
+    monkeypatch.undo()
+    assert built == []
+    assert report.match and report.measured == (1, 5, 0, 0)
+    assert len(graph.edges) == 12
 
 
 @settings(max_examples=150, deadline=None)

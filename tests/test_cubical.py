@@ -16,7 +16,7 @@ from linetopo import (
     rasterize_complement,
     verify_arrangement,
 )
-from linetopo.arrangement import arrangement_of_lines
+from linetopo.arrangement import arrangement_of_lines, transform
 from linetopo.cubical import (
     CubicalComplex,
     _bounding_cube,
@@ -31,10 +31,11 @@ from linetopo.cubical import (
 )
 from linetopo.geometry import (
     canonicalize_line,
+    integer_form,
     intersect_lines,
     line_box_params,
 )
-from conftest import primitive_direction, seeded_corpus
+from conftest import hub_arrangements, primitive_direction, seeded_corpus
 
 
 # Dense oracles: the whole-grid passes rasterization and betti_numbers made
@@ -184,6 +185,53 @@ def _betti_direct(c: CubicalComplex) -> tuple[int, ...]:
     return tuple(
         len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(n + 1)
     )
+
+
+def _bounding_cube_oracle(a):
+    """(low corner, side) of the frame as Fractions, from the Fraction
+    anchors: the oracle for ``_bounding_cube``."""
+    anchors = [mp.location for mp in a.multiple_points]
+    anchors += [line.base for line in a.lines]
+    if not anchors:
+        anchors = [tuple(Fraction(0) for _ in range(a.dimension))]
+    n = a.dimension
+    lo = [min(p[i] for p in anchors) for i in range(n)]
+    hi = [max(p[i] for p in anchors) for i in range(n)]
+    side = max(max(h - l for h, l in zip(hi, lo)), Fraction(1))
+    total = 3 * side
+    corner = tuple((l + h) / 2 - total / 2 for l, h in zip(lo, hi))
+    return corner, total
+
+
+_big_rationals = st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**40))
+
+
+@st.composite
+def _transformed_hubs(draw):
+    """A hub arrangement under a rational affine map with large
+    denominators: an upper triangular matrix with nonzero diagonal, so
+    invertible, and a shift."""
+    a = draw(hub_arrangements())
+    n = a.dimension
+    nonzero = _big_rationals.filter(bool)
+    matrix = [
+        [draw(_big_rationals) if j > i else draw(nonzero) if j == i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return transform(a, matrix, draw(st.lists(_big_rationals, min_size=n, max_size=n)))
+
+
+_NARROW = [  # no anchor spread: the side is the floor 1, not a width
+    build_arrangement(3, []),
+    build_arrangement(2, [((Fraction(1, 3), 0), (1, 1))]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(hub_arrangements(), _transformed_hubs(), st.sampled_from(_NARROW)))
+def test_frame_is_the_integer_form_of_the_fraction_cube(a):
+    corner, total = _bounding_cube_oracle(a)
+    assert _bounding_cube(a) == integer_form(corner + (total,))
 
 
 # Reference distances: the Fraction routines the coarseness guard used before
@@ -353,10 +401,10 @@ def test_complex_missing_a_face_raises_invariant_violation():
 
 def _marked(a, m: int) -> np.ndarray:
     """Doubled grid of the cells each line marks at resolution m."""
-    box_lo, total = _bounding_cube(a)
+    frame = _bounding_cube(a)
     hit = np.zeros((2 * m + 1,) * a.dimension, dtype=bool)
     for line in a.lines:
-        hit[_mark_line(line, box_lo, total / m, m)] = True
+        hit[_mark_line(line, frame, m)] = True
     return hit
 
 
@@ -436,13 +484,12 @@ def test_rasterization_matches_the_dense_oracle():
     @given(_tube_arrangements())
     def check(case):
         a, m = case
-        box_lo, total = _bounding_cube(a)
         free = _line_free(a, m)
         u = _star_of_marks(np.flatnonzero(_marked(a, m)), 2 * m + 1, a.dimension)
         assert np.array_equal(np.unique(u), np.flatnonzero(~free))
         orphans = _orphans(free, u)
         assert np.array_equal(orphans, np.flatnonzero(free & ~_free_cube_closure(free)))
-        grid = _rasterize(a, box_lo, total / m, m)
+        grid = _rasterize(a, _bounding_cube(a), m)
         assert np.array_equal(grid, _dense_certified(free))
         seen["refused" if _guard_verdict(a, m) else "accepted"] += 1
         seen["with orphans"] += orphans.size > 0
@@ -469,8 +516,7 @@ def _flipped_complexes(draw):
     if draw(st.booleans()):
         a, _ = draw(_tube_arrangements())
         m = draw(st.integers(2, {2: 10, 3: 5, 4: 3}[a.dimension]))
-        box_lo, total = _bounding_cube(a)
-        grid = _rasterize(a, box_lo, total / m, m)
+        grid = _rasterize(a, _bounding_cube(a), m)
     else:
         grid = _closure_cells(draw(_top_cube_sets()))
     size = grid.shape[0]
@@ -536,8 +582,9 @@ def test_marking_matches_bruteforce_slab_test_in_every_dimension():
     m = 6
     box_lo = (Fraction(-1), Fraction(-1), Fraction(-1))
     side = Fraction(1)
+    frame = ((-1, -1, -1, 6), 1)  # the corner box_lo and the box side m * side
     marks = np.concatenate(
-        [np.ravel_multi_index(_mark_line(line, box_lo, side, m), (2 * m + 1,) * 3) for line in lines]
+        [np.ravel_multi_index(_mark_line(line, frame, m), (2 * m + 1,) * 3) for line in lines]
     )
     stabbed = np.zeros((2 * m + 1,) * 3, dtype=bool)
     stabbed.reshape(-1)[_star_of_marks(marks, 2 * m + 1, 3)] = True
@@ -660,10 +707,11 @@ def test_guard_verdicts_match_the_reference_distances():
         ]
         extras.append(build_arrangement(n, [(origin, (1, 0) + pad), ((0, 1) + pad, (1, 0) + pad)]))
         for a in seeded_corpus(n, 30, max_d, seed0=600 + n) + extras:
-            box_lo, total = _bounding_cube(a)
+            frame = _bounding_cube(a)
+            _, total = _bounding_cube_oracle(a)
             for m in (4, 12, 16, 64, 256, 1024, 4096):
                 try:
-                    _coarseness_guard(a, total / m, total)
+                    _coarseness_guard(a, frame, m)
                     verdict = None
                 except ResolutionTooCoarse as exc:
                     verdict = str(exc)
@@ -678,9 +726,8 @@ _rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**
 
 def _guard_verdict(a, m):
     """None, or the message ``_coarseness_guard`` raises at resolution m."""
-    _, total = _bounding_cube(a)
     try:
-        _coarseness_guard(a, total / m, total)
+        _coarseness_guard(a, _bounding_cube(a), m)
     except ResolutionTooCoarse as exc:
         return str(exc)
     return None
@@ -690,7 +737,7 @@ _GUARD_GRIDS = (2, 4, 12, 64, 256, 1024, 4096, 10**6)
 
 
 def _assert_guard_matches_the_oracle(a):
-    _, total = _bounding_cube(a)
+    _, total = _bounding_cube_oracle(a)
     for m in _GUARD_GRIDS:
         assert _guard_verdict(a, m) == _guard_oracle(a, total / m, total), m
 

@@ -1,6 +1,7 @@
 """The three routes share exact line intersection and nothing more, only
-``geometry`` clears denominators, the package ships no definition that only
-the tests use and no ``assert``, and the routes agree on drawn arrangements.
+``geometry`` clears denominators, the homology oracle imports no
+``fractions``, the package ships no definition that only the tests use and
+no ``assert``, and the routes agree on drawn arrangements.
 
 The sweep (``sweep``), the poset (``poset``) and the two brute-force oracles
 (``regions``, ``cubical``) may read an ``Arrangement`` and ``geometry``, but
@@ -99,6 +100,19 @@ def test_denominators_are_cleared_only_in_geometry():
         for name in _denominator_reads(path)
     }
     assert reads == {("io_json", "format_rational")}
+
+
+def test_modules_that_import_fractions():
+    # cubical works in integer forms from its frame on.  The others build
+    # Fractions for what they print or return (views of points and bases,
+    # sweep levels and directions, parsed and rendered rationals) and, in
+    # regions, for its own clipping box.  Equality, so a new importer shows.
+    importers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if any(source == "fractions" for source, _ in _imports(path))
+    }
+    assert importers == {"arrangement", "geometry", "io_json", "regions", "sweep"}
 
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,8 @@ from linetopo import (
     multiple_points,
     sweep_events,
 )
-from linetopo.errors import LinetopoError
-from linetopo.geometry import as_point, dot, integer_form, sub
+from linetopo.errors import DimensionMismatch, LinetopoError
+from linetopo.geometry import as_point, canonicalize_line, dot, integer_form, point_on_line
 from linetopo.sweep import GraphEdge, SpaceGraph, SweepEvent, SweepPlan, Violation
 from conftest import hub_arrangements, second_generic_direction, seeded_corpus
 
@@ -25,6 +26,10 @@ from conftest import hub_arrangements, second_generic_direction, seeded_corpus
 # Reference oracles: the direct O(V^2) genericity check and O(V*E) event pass
 # in Fraction arithmetic, against which the integer implementations are
 # compared.
+
+
+def sub(a, b) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def _oracle_check_direction(x: SpaceGraph, v) -> Violation | None:
@@ -282,6 +287,97 @@ def test_empty_arrangement_sweeps_to_zero_handles():
 def test_graph_from_segments_rejects_interior_vertex():
     with pytest.raises(ValueError):
         graph_from_segments(3, [(0, 0, 0), (2, 0, 0), (1, 0, 0)], [(0, 1)])
+
+
+def _graph_from_segments_oracle(n, points, segments) -> SpaceGraph:
+    """graph_from_segments validating in Fractions: each vertex tested on
+    each carrier with point_on_line and placed by its line parameter."""
+    vertices = tuple(as_point(p) for p in points)
+    for p in vertices:
+        if len(p) != n:
+            raise DimensionMismatch(f"vertex {p} does not have dimension {n}")
+    first_at = {}
+    for k, p in enumerate(vertices):
+        i = first_at.setdefault(p, k)
+        if i != k:
+            raise ValueError(f"vertices {i} and {k} are at the same point")
+    edges = []
+    for (i, j) in segments:
+        if i == j:
+            raise ZeroDirection("segment endpoints coincide")
+        carrier = canonicalize_line(vertices[i], sub(vertices[j], vertices[i]))
+        ti, tj = carrier.param_of(vertices[i]), carrier.param_of(vertices[j])
+        lo, hi = min(ti, tj), max(ti, tj)
+        for k, w in enumerate(vertices):
+            if k in (i, j) or not point_on_line(w, carrier):
+                continue
+            if lo < carrier.param_of(w) < hi:
+                raise ValueError(f"vertex {k} lies in the interior of segment ({i},{j})")
+        edges.append(GraphEdge(carrier=carrier, vertices=(i, j)))
+    return SpaceGraph(
+        dimension=n, integer_vertices=tuple(map(integer_form, vertices)), edges=tuple(edges)
+    )
+
+
+@st.composite
+def _segment_inputs(draw):
+    """(n, points, segments) for graph_from_segments, n = 1-4: small
+    rational points plus points at t = -1, 0, 1/3, 1/2, 1 or 2 along the
+    line through two drawn ones (repeats at 0 and 1, collinear triples
+    otherwise), now and then a point of the wrong dimension, and index
+    pairs that may repeat an index or count from the end."""
+    n = draw(st.integers(1, 4))
+    points = draw(st.lists(st.tuples(*[_COORD] * n), min_size=2, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        p, q = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        t = draw(st.sampled_from([-1, 0, Fraction(1, 3), Fraction(1, 2), 1, 2]))
+        points.append(tuple(x + t * (y - x) for x, y in zip(p, q)))
+    if draw(st.integers(0, 9)) == 0:
+        points.append((Fraction(1, 2),) * (n + 1))
+    points = draw(st.permutations(points))
+    index = st.integers(-len(points), len(points) - 1)
+    return n, points, draw(st.lists(st.tuples(index, index), max_size=6))
+
+
+def test_compact_graphs_match_the_fraction_validation():
+    seen = dict.fromkeys(["graph", "interior", "same point", "endpoints", "dimension"], 0)
+
+    def outcome(build, *args):
+        try:
+            return build(*args)
+        except (ValueError, LinetopoError) as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_segment_inputs())
+    def check(case):
+        got = outcome(graph_from_segments, *case)
+        assert got == outcome(_graph_from_segments_oracle, *case)
+        kind = "graph" if isinstance(got, SpaceGraph) else next(
+            (k for k in seen if k in got[1]), None)
+        if kind:
+            seen[kind] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+def _grid_graph(k):
+    """The k x k grid graph in the plane: k^2 vertices, 2k(k - 1) edges."""
+    points = [(x, y) for x in range(k) for y in range(k)]
+    segments = [(k * x + y, k * x + y + 1) for x in range(k) for y in range(k - 1)]
+    segments += [(k * x + y, k * (x + 1) + y) for x in range(k - 1) for y in range(k)]
+    return points, segments
+
+
+def test_graph_from_segments_cost_grid_20():
+    # V = 400, E = 760: every vertex is tested against every segment
+    points, segments = _grid_graph(20)
+    t0 = time.perf_counter()
+    graph = graph_from_segments(2, points, segments)
+    elapsed = time.perf_counter() - t0
+    assert len(graph.edges) == 760
+    assert elapsed < 1.0, f"20 x 20 grid graph took {elapsed:.2f}s, budget 1s"
 
 
 @pytest.mark.parametrize("n,seed0", [(2, 1000), (3, 2000), (4, 3000)])
